@@ -1,16 +1,24 @@
 // Engine execution overhead: how fast does the simulator itself run?
 //
 // Every other bench in this directory reports *virtual* time; this one
-// reports *wall* time. Four sections:
+// reports *wall* time. Five sections:
 //
-//   1. backend A/B   — the original 64-PE message-rate workload under the
+//   1. runtime sweep — the real OpenSHMEM runtime, not raw mailboxes, at
+//                      64 -> 4096 PEs: construct a Runtime, run a barrier,
+//                      a put ring and an allreduce through Ctx, tear down.
+//                      Each point records setup time and the process's
+//                      peak RSS beside its wall time (the sweep runs first,
+//                      in ascending order, so the peak is the point's own),
+//                      so runtime memory growing faster than O(np) shows up
+//                      here.
+//   2. backend A/B   — the original 64-PE message-rate workload under the
 //                      thread and fiber backends (fiber speedup headline).
-//   2. PE sweep      — the same workload at 64 -> 16384 PEs (fibers; 16K OS
+//   3. PE sweep      — the same workload at 64 -> 16384 PEs (fibers; 16K OS
 //                      threads is not a thing), reporting events/sec per
 //                      scale point. This is the scale-out regression series:
 //                      events/sec collapsing at high PE counts means the
 //                      event queue or the stack management stopped scaling.
-//   3. 4K-PE A/B     — optimized configuration (timing-wheel queue, warm
+//   4. 4K-PE A/B     — optimized configuration (timing-wheel queue, warm
 //                      fiber-stack pool, batched wakeups, fast fiber switch)
 //                      vs the PR-1 baseline (binary heap, cold unpooled
 //                      stacks, per-waiter wakeups, swapcontext + its
@@ -19,7 +27,7 @@
 //                      spawn, run, teardown. Headline: speedup_4kpe (target
 //                      >= 5x; the pool only pays off across repeated runs in
 //                      one process, which is exactly the sweep/CI shape).
-//   4. cross-checks  — heap and wheel must execute identical event counts to
+//   5. cross-checks  — heap and wheel must execute identical event counts to
 //                      identical virtual end times (and batching must not
 //                      move virtual time) or the bench aborts: the perf
 //                      numbers are meaningless if determinism broke.
@@ -30,6 +38,9 @@
 // Wall numbers are machine-dependent; the perf gate compares the
 // deterministic `events` per wall point exactly, events/sec only against a
 // loose floor (PERF_WALL_FRAC), and virtual_us points tightly.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +48,8 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/ctx.hpp"
+#include "core/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/stack_pool.hpp"
@@ -133,6 +146,66 @@ Result run_message_rate(const Config& cfg, int pes, int iters, int window) {
   std::exit(1);
 }
 
+/// Peak resident set of this process so far, in MB (10^6 bytes).
+double peak_rss_mb() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) * 1024 / 1e6;
+}
+
+struct RuntimeJob {
+  double setup_s = 0;  ///< Runtime construction
+  double wall_s = 0;   ///< construct + run + teardown
+  std::uint64_t events = 0;
+  std::int64_t virtual_end_ns = 0;  ///< when the last PE finished
+};
+
+/// One real-runtime job: `pes` PEs (2 per node, enhanced-gdr, small heaps)
+/// run a barrier, an 8-byte put ring and a sum_to_all through Ctx. Aborts
+/// when an answer is wrong.
+RuntimeJob run_runtime_job(int pes) {
+  hw::ClusterConfig cluster;
+  cluster.num_nodes = pes / 2;
+  cluster.pes_per_node = 2;
+  core::RuntimeOptions opts;
+  opts.transport = core::TransportKind::kEnhancedGdr;
+  // The collectives sync pool holds O(np) flags per team slot and may take
+  // at most a quarter of the host heap: 8 KiB per PE covers it.
+  opts.host_heap_bytes =
+      std::max<std::size_t>(1u << 20, static_cast<std::size_t>(pes) * (8u << 10));
+  opts.gpu_heap_bytes = 1u << 20;
+
+  RuntimeJob job;
+  int wrong = 0;
+  const double t0 = bench::wall_now();
+  {
+    core::Runtime rt(cluster, opts);
+    job.setup_s = bench::wall_now() - t0;
+    sim::Time last_done = sim::Time::zero();
+    rt.run([&wrong, &last_done](core::Ctx& ctx) {
+      const long me = ctx.my_pe(), np = ctx.n_pes();
+      // src, ring slot, sum; shmalloc's barrier makes every slot live.
+      auto* words = static_cast<long*>(ctx.shmalloc(3 * sizeof(long), core::Domain::kHost));
+      long *src = words, *ring = words + 1, *sum = words + 2;
+      *src = me;
+      ctx.putmem(ring, src, sizeof(long), static_cast<int>((me + 1) % np));
+      ctx.barrier_all();
+      ctx.sum_to_all(sum, src, 1);
+      if (*ring != (me + np - 1) % np || *sum != np * (np - 1) / 2) ++wrong;
+      last_done = std::max(last_done, ctx.now());
+    });
+    job.events = rt.engine().events_executed();
+    job.virtual_end_ns = (last_done - sim::Time::zero()).count_ns();
+  }
+  job.wall_s = bench::wall_now() - t0;
+  if (wrong != 0) {
+    std::fprintf(stderr, "FATAL: runtime sweep at %d PEs: %d PEs saw a wrong "
+                 "ring or sum_to_all answer\n", pes, wrong);
+    std::exit(1);
+  }
+  return job;
+}
+
 /// --scale-smoke: one 1K-PE barrier+message-rate round under a wall budget.
 /// The budget is deliberately loose (CI boxes vary wildly); it catches
 /// catastrophic scale regressions, not percent-level drift.
@@ -169,7 +242,30 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scale-smoke") == 0) return scale_smoke();
   }
 
-  // ---- 1. backend A/B at 64 PEs (the original headline) ------------------
+  // ---- 1. real-runtime sweep 64 -> 4096 PEs ------------------------------
+  // The gated quantity is the exact event count (plus the virtual end time,
+  // a virtual point); setup_ms and peak_rss_mb ride along as informational
+  // fields.
+  std::printf("== runtime sweep (enhanced-gdr, small heaps: barrier + put "
+              "ring + sum_to_all through Ctx) ==\n");
+  std::printf("%8s %12s %12s %12s %12s\n", "pes", "events", "setup (ms)",
+              "wall (s)", "peak rss (MB)");
+  for (int sweep_pes : {64, 256, 1024, 4096}) {
+    RuntimeJob job = run_runtime_job(sweep_pes);
+    const double rss = peak_rss_mb();
+    std::printf("%8d %12llu %12.3f %12.4f %12.1f\n", sweep_pes,
+                static_cast<unsigned long long>(job.events), job.setup_s * 1e3,
+                job.wall_s, rss);
+    const std::string name = "runtime/sweep/" + std::to_string(sweep_pes) + "pe";
+    bench::add_wall_point(name, job.wall_s, job.events,
+                          {{"setup_ms", job.setup_s * 1e3},
+                           {"peak_rss_mb", rss}});
+    bench::add_point(name + "/virtual_end",
+                     static_cast<double>(job.virtual_end_ns) * 1e-3);
+  }
+  std::printf("\n");
+
+  // ---- 2. backend A/B at 64 PEs (the original headline) ------------------
   const int pes = 64, iters = 50, window = 16;
   std::printf("== engine overhead: %d-PE message-rate workload, "
               "%d iters x window %d ==\n", pes, iters, window);
@@ -206,7 +302,7 @@ int main(int argc, char** argv) {
   bench::add_metric("speedup_fibers_vs_threads", speedup);
   bench::add_metric("pes", static_cast<double>(pes));
 
-  // ---- 2. PE-count sweep 64 -> 16384 (fibers) ----------------------------
+  // ---- 3. PE-count sweep 64 -> 16384 (fibers) ----------------------------
   // iters*window shrinks as PEs grow so each point stays seconds-scale; the
   // gated quantity is events (exact) and events/sec (floor), not wall time.
   struct SweepPoint { int pes, iters, window; };
@@ -231,7 +327,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // ---- 3. 4K-PE optimized-vs-baseline A/B --------------------------------
+  // ---- 4. 4K-PE optimized-vs-baseline A/B --------------------------------
   // End-to-end lifecycle timing (construct + spawn + run + teardown): the
   // pool's mmap/munmap savings, the wheel/batching queue savings, and the
   // syscall-free fiber switch all land in this window. Baseline = PR-1
@@ -302,7 +398,7 @@ int main(int argc, char** argv) {
                         ab_opt.events);
   bench::add_metric("speedup_4kpe_vs_baseline", ab_speedup);
 
-  // ---- 4. queue/batching determinism cross-checks ------------------------
+  // ---- 5. queue/batching determinism cross-checks ------------------------
   {
     Config heap_cfg, wheel_cfg;
     heap_cfg.queue = QueueKind::kHeap;

@@ -58,6 +58,9 @@ struct WallPoint {
   std::string name;       // e.g. "engine/msgrate/fibers/64pe"
   double wall_seconds = 0;
   std::uint64_t events = 0;  // simulation events executed during the run
+  // Informational machine-dependent fields (e.g. setup_ms, peak_rss_mb),
+  // written beside the gated ones; the perf gate ignores them.
+  std::vector<std::pair<std::string, double>> extras;
 
   double events_per_sec() const {
     return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0;
@@ -69,9 +72,11 @@ inline std::vector<WallPoint>& wall_points() {
   return pts;
 }
 
-inline void add_wall_point(std::string name, double wall_seconds,
-                           std::uint64_t events) {
-  wall_points().push_back(WallPoint{std::move(name), wall_seconds, events});
+inline void add_wall_point(
+    std::string name, double wall_seconds, std::uint64_t events,
+    std::vector<std::pair<std::string, double>> extras = {}) {
+  wall_points().push_back(
+      WallPoint{std::move(name), wall_seconds, events, std::move(extras)});
 }
 
 /// Scalar headline metrics (speedups, configuration), landed in the JSON
@@ -137,6 +142,7 @@ inline void write_bench_json(const std::string& tag, std::string path = "") {
     w.field_fixed("wall_seconds", p.wall_seconds, 6);
     w.field("events", p.events);
     w.field_fixed("events_per_sec", p.events_per_sec(), 1);
+    for (const auto& [k, v] : p.extras) w.field_fixed(k, v, 3);
     w.end_object();
   }
   w.end_array();

@@ -22,9 +22,13 @@ Ctx::Ctx(Runtime& rt, int pe)
   // generation-tagged value the engine will ever wait for.
   coll_pool_ = static_cast<std::byte*>(
       rt_->heap(pe_, Domain::kHost).allocate(coll_layout_.pool_bytes()));
+  // Most of the pool's team slots are never written, and a barrier writes a
+  // few flags: base pages commit kilobytes per PE where a huge page would
+  // commit 2 MiB.
+  sim::ZeroPages::no_huge_pages(coll_pool_, coll_layout_.pool_bytes());
 
   const Tuning& t = rt.tuning();
-  bounce_.resize(2 * t.pipeline_chunk);
+  bounce_ = sim::ZeroPages(2 * t.pipeline_chunk);
   rt.verbs().reg_cache().register_at_init(pe_, bounce_.data(), bounce_.size());
   inline_ring_.resize(kInlineSlots * std::max<std::size_t>(t.inline_put_limit, 8));
   inline_comps_.resize(kInlineSlots);
@@ -49,6 +53,10 @@ sim::Time Ctx::now() { return rt_->engine().now(); }
 void* Ctx::shmalloc(std::size_t bytes, Domain domain) {
   rt_->check_symmetric_alloc(alloc_seq_++, bytes, domain);
   void* p = rt_->heap(pe_, domain).allocate(bytes);
+  // A block smaller than a huge page is often a flag or a counter: hinted,
+  // one 8-byte write would commit 2 MiB per PE. Dense writers of such a
+  // block pay 4 KiB faults instead (DESIGN §3b.2 has the measurements).
+  if (bytes < sim::ZeroPages::kHugePageBytes) sim::ZeroPages::no_huge_pages(p, bytes);
   barrier_all();  // shmalloc is collective
   return p;
 }
@@ -245,12 +253,16 @@ void Ctx::progress() {
 // ---------------------------------------------------------------------------
 // Staging helpers
 
+void Ctx::regrow(sim::ZeroPages& buf, std::size_t bytes, sim::Process& charged) {
+  ib::RegistrationCache& rc = rt_->verbs().reg_cache();
+  sim::ZeroPages grown(bytes);
+  if (buf.data() != nullptr) rc.deregister(pe_, buf.data());
+  buf = std::move(grown);
+  rc.get_or_register(charged, pe_, buf.data(), buf.size());
+}
+
 std::byte* Ctx::bounce(std::size_t min_bytes) {
-  if (bounce_.size() < min_bytes) {
-    bounce_.assign(min_bytes, std::byte{0});
-    rt_->verbs().reg_cache().get_or_register(proc(), pe_, bounce_.data(),
-                                             bounce_.size());
-  }
+  if (bounce_.size() < min_bytes) regrow(bounce_, min_bytes, proc());
   return bounce_.data();
 }
 
@@ -279,12 +291,7 @@ std::byte* Ctx::rendezvous_staging(std::size_t bytes) {
 }
 
 std::byte* Ctx::rendezvous_staging(std::size_t bytes, sim::Process& worker) {
-  if (rendezvous_staging_.size() < bytes) {
-    rendezvous_staging_.assign(bytes, std::byte{0});
-    rt_->verbs().reg_cache().get_or_register(worker, pe_,
-                                             rendezvous_staging_.data(),
-                                             rendezvous_staging_.size());
-  }
+  if (rendezvous_staging_.size() < bytes) regrow(rendezvous_staging_, bytes, worker);
   return rendezvous_staging_.data();
 }
 

@@ -378,6 +378,11 @@ class Ctx {
   std::byte* eager_src_slot(int peer);
 
  private:
+  /// Replace `buf` with a fresh zeroed mapping of `bytes`, dropping the old
+  /// buffer's registration before it is unmapped and registering the new
+  /// one (cost charged to `charged`).
+  void regrow(sim::ZeroPages& buf, std::size_t bytes, sim::Process& charged);
+
   friend class Runtime;
   /// The device-initiated surface mirrors this Ctx's accounting brackets
   /// (op_kind_, make_op, finish_op) so host- and device-issued operations
@@ -408,13 +413,13 @@ class Ctx {
   sim::Mailbox<CtrlMsg> rx_;
   sim::Notification progress_note_;
 
-  std::vector<std::byte> bounce_;
+  sim::ZeroPages bounce_;
   static constexpr std::size_t kInlineSlots = 128;
   std::vector<std::byte> inline_ring_;
   std::vector<sim::CompletionPtr> inline_comps_;
   std::size_t inline_next_ = 0;
   cudart::Stream stream_;
-  std::vector<std::byte> rendezvous_staging_;
+  sim::ZeroPages rendezvous_staging_;
   bool staging_busy_ = false;
   std::deque<CtrlMsg> deferred_rts_;
   std::map<int, sim::CompletionPtr> eager_outstanding_;

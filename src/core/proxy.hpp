@@ -20,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -85,7 +86,7 @@ class ProxyDaemon {
 
   Runtime& rt_;
   int node_;
-  std::vector<std::byte> staging_;
+  sim::ZeroPages staging_;
   sim::Mailbox<CtrlMsg> mb_;
   std::deque<CtrlMsg> stash_;  // messages deferred while a put is active
   sim::Process* proc_ = nullptr;  // live daemon process (null while crashed)

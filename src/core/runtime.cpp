@@ -1,7 +1,5 @@
 #include "core/runtime.hpp"
 
-#include <cstring>
-
 #include "core/ctx.hpp"
 #include "core/device_api.hpp"
 #include "core/protocol_selector.hpp"
@@ -58,24 +56,25 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
   });
 
   // Symmetric heaps: one host + one GPU heap per PE, registered with the HCA
-  // at init (III-A). make_unique<T[]> value-initializes, so heaps are zeroed.
+  // at init (III-A). Both are ZeroPages mappings (cudart backs device
+  // allocations the same way), so every heap reads as zero — the collectives
+  // sync flags rely on that — while only the pages a program writes are
+  // ever committed.
   heaps_.reserve(static_cast<std::size_t>(np));
   for (int pe = 0; pe < np; ++pe) {
     hw::PePlacement pl = cluster_.placement(pe);
-    host_heap_storage_.push_back(std::make_unique<std::byte[]>(opts_.host_heap_bytes));
-    std::byte* host_base = host_heap_storage_.back().get();
+    host_heap_storage_.emplace_back(opts_.host_heap_bytes);
+    std::byte* host_base = host_heap_storage_.back().data();
     auto* gpu_base = static_cast<std::byte*>(
         cuda_.malloc_device(pl.node, pl.gpu, opts_.gpu_heap_bytes));
-    std::memset(gpu_base, 0, opts_.gpu_heap_bytes);
     // Optional pmem heap (off by default): plain host memory in the model —
     // host-like on the wire — with durable semantics asserted by the
     // checkpoint service. Zero size leaves a null heap so contains() is
     // always false and shmalloc(kPmem) reports exhaustion.
     std::byte* pmem_base = nullptr;
     if (opts_.pmem_heap_bytes > 0) {
-      pmem_heap_storage_.push_back(
-          std::make_unique<std::byte[]>(opts_.pmem_heap_bytes));
-      pmem_base = pmem_heap_storage_.back().get();
+      pmem_heap_storage_.emplace_back(opts_.pmem_heap_bytes);
+      pmem_base = pmem_heap_storage_.back().data();
     }
     heaps_.push_back(PeHeaps{
         SymmetricHeap(Domain::kHost, host_base, opts_.host_heap_bytes),
@@ -88,13 +87,15 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
     }
   }
 
-  // Eager slot regions (baseline transport): one slot per source PE.
-  const std::size_t slot = opts_.tuning.eager_limit;
-  for (int pe = 0; pe < np; ++pe) {
-    eager_storage_.push_back(
-        std::make_unique<std::byte[]>(slot * static_cast<std::size_t>(np)));
-    verbs_.reg_cache().register_at_init(pe, eager_storage_.back().get(),
-                                        slot * static_cast<std::size_t>(np));
+  // Eager slot regions, one slot per source PE. Only the host-pipeline
+  // transport sends eagerly; the others never map them.
+  if (opts_.transport == TransportKind::kHostPipeline) {
+    const std::size_t region = opts_.tuning.eager_limit * static_cast<std::size_t>(np);
+    eager_storage_.reserve(static_cast<std::size_t>(np));
+    for (int pe = 0; pe < np; ++pe) {
+      const sim::ZeroPages& slots = eager_storage_.emplace_back(region);
+      verbs_.reg_cache().register_at_init(pe, slots.data(), region);
+    }
   }
 
   // Per-PE contexts. Each reserves the runtime-internal sync region as the
@@ -214,7 +215,12 @@ bool Runtime::gdr_inter_socket(int pe) const {
 }
 
 void* Runtime::eager_slot(int dst_pe, int src_pe) {
-  return eager_storage_.at(static_cast<std::size_t>(dst_pe)).get() +
+  if (eager_storage_.empty()) {
+    throw UnsupportedError(std::string("eager slots exist only under the "
+                                       "host-pipeline transport, not ") +
+                           to_string(opts_.transport));
+  }
+  return eager_storage_.at(static_cast<std::size_t>(dst_pe)).data() +
          static_cast<std::size_t>(src_pe) * opts_.tuning.eager_limit;
 }
 

@@ -23,6 +23,7 @@
 #include "ib/verbs.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -197,7 +198,9 @@ class Runtime {
   /// Table III P2P regime.
   bool gdr_inter_socket(int pe) const;
 
-  /// Remote eager slot reserved for (src -> dst) baseline traffic.
+  /// Remote eager slot reserved for (src -> dst) baseline traffic. The slot
+  /// regions exist only under the host-pipeline transport; any other
+  /// transport gets an UnsupportedError.
   void* eager_slot(int dst_pe, int src_pe);
   std::size_t eager_slot_bytes() const;
 
@@ -233,10 +236,10 @@ class Runtime {
   Tracer tracer_;
   Metrics metrics_;
 
-  std::vector<std::unique_ptr<std::byte[]>> host_heap_storage_;
-  std::vector<std::unique_ptr<std::byte[]>> pmem_heap_storage_;
+  std::vector<sim::ZeroPages> host_heap_storage_;
+  std::vector<sim::ZeroPages> pmem_heap_storage_;
   std::vector<PeHeaps> heaps_;
-  std::vector<std::unique_ptr<std::byte[]>> eager_storage_;
+  std::vector<sim::ZeroPages> eager_storage_;  // host-pipeline only
   std::vector<std::unique_ptr<Ctx>> ctxs_;
   std::vector<std::unique_ptr<ProxyDaemon>> proxies_;
   std::unique_ptr<Transport> transport_;

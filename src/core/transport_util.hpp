@@ -28,18 +28,32 @@ inline void host_shm_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
 /// inline from a pre-registered slot so even a blocking put returns right
 /// after the post; everything else waits for the ACK when blocking.
 ///
-/// Under a fault plan the inline ring is bypassed: a slot is recycled as
-/// soon as its completion fires, which under error completions would let a
-/// replay read overwritten data. Instead blocking puts retry-in-place and
-/// non-blocking puts carry a repost closure over the (spec-pinned until
-/// quiet) user source buffer.
+/// Under a fault plan a slot must not be recycled while a replay may still
+/// read it. Small blocking puts still leave from their slot: the caller is
+/// parked in await_reliable until the put is reliably complete, so nothing
+/// reuses the slot meanwhile. Non-blocking puts skip the ring and carry a
+/// repost closure over the (spec-pinned until quiet) user source buffer.
+/// A small blocking put thus never registers the user's buffer: often a
+/// stack local, whose address (and so whether an earlier registration
+/// covers it) depends on the compiler's frame layout.
 inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
   Runtime& rt = ctx.runtime();
   ctx.count_protocol(proto, op.bytes);
+  const bool use_inline = !op.local_is_device &&
+                          op.bytes <= rt.tuning().inline_put_limit &&
+                          (op.blocking || !rt.faults_enabled());
+  const void* src = op.local;
+  sim::CompletionPtr* slot_comp = nullptr;
+  if (use_inline) {
+    auto [slot, comp_entry] = ctx.inline_slot();
+    std::memcpy(slot, op.local, op.bytes);
+    src = slot;
+    slot_comp = comp_entry;
+  }
   if (rt.faults_enabled()) {
-    auto repost = [&ctx, &rt, op]() {
+    auto repost = [&ctx, &rt, op, src]() {
       return rt.endpoint(ctx.my_pe())
-          .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
+          .rdma_write(ctx.proc(), src, op.target_pe, op.remote, op.bytes);
     };
     auto comp = repost();
     if (op.blocking) {
@@ -50,23 +64,14 @@ inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
     }
     return;
   }
-  bool use_inline =
-      !op.local_is_device && op.bytes <= rt.tuning().inline_put_limit;
-  if (use_inline) {
-    auto [slot, comp_entry] = ctx.inline_slot();
-    std::memcpy(slot, op.local, op.bytes);
-    auto comp = rt.endpoint(ctx.my_pe())
-                    .rdma_write(ctx.proc(), slot, op.target_pe, op.remote,
-                                op.bytes);
-    *comp_entry = comp;
-    ctx.track(std::move(comp));
-    return;
-  }
   auto comp = rt.endpoint(ctx.my_pe())
-                  .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote,
-                              op.bytes);
+                  .rdma_write(ctx.proc(), src, op.target_pe, op.remote, op.bytes);
   ctx.track(comp);
-  if (op.blocking) comp->wait(ctx.proc());
+  if (slot_comp != nullptr) {
+    *slot_comp = std::move(comp);  // the slot is reused once this fires
+  } else if (op.blocking) {
+    comp->wait(ctx.proc());
+  }
 }
 
 /// Get over (possibly loopback) RDMA read. Reads are idempotent, so replays

@@ -55,8 +55,8 @@ void* CudaRuntime::malloc_device(int node, int gpu, std::size_t bytes) {
   if (node < 0 || node >= cluster_.num_nodes()) throw CudaError("bad node id");
   if (gpu < 0 || gpu >= cluster_.config().gpus_per_node) throw CudaError("bad GPU id");
   if (bytes == 0) throw CudaError("cudaMalloc of zero bytes");
-  auto buf = std::make_unique<std::byte[]>(bytes);
-  void* p = buf.get();
+  sim::ZeroPages buf(bytes);
+  void* p = buf.data();
   registry_.insert(p, bytes, node, gpu);
   allocation_index_.emplace(p, bytes);
   allocations_.push_back(std::move(buf));
@@ -68,8 +68,9 @@ void CudaRuntime::free_device(void* p) {
   if (it == allocation_index_.end()) throw CudaError("cudaFree of unknown pointer");
   registry_.erase(p);
   allocation_index_.erase(it);
-  // Backing store is intentionally retained until runtime destruction so
-  // stale simulated DMA completions can never touch freed memory.
+  // The mapping is kept until this CudaRuntime is destroyed, so a stale
+  // simulated DMA completion can never touch unmapped memory — and a later
+  // cudaMalloc can never land at (and alias) the freed address.
 }
 
 PtrAttr CudaRuntime::attributes(const void* p) const {

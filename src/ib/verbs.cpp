@@ -49,6 +49,17 @@ void RegistrationCache::register_at_init(int pe, const void* addr, std::size_t l
   e.pinned = true;
 }
 
+bool RegistrationCache::deregister(int pe, const void* addr) {
+  auto pit = ranges_.find(pe);
+  if (pit == ranges_.end()) return false;
+  PeRanges& pr = pit->second;
+  auto it = pr.ranges.find(reinterpret_cast<std::uintptr_t>(addr));
+  if (it == pr.ranges.end()) return false;
+  if (!it->second.pinned) pr.lru.erase(it->second.lru_pos);
+  pr.ranges.erase(it);
+  return true;
+}
+
 void RegistrationCache::get_or_register(sim::Process& proc, int pe,
                                         const void* addr, std::size_t len) {
   PeRanges& pr = ranges_[pe];

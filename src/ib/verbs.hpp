@@ -48,6 +48,10 @@ class RegistrationCache {
   /// Pinned: never evicted.
   void register_at_init(int pe, const void* addr, std::size_t len);
   bool covered(int pe, const void* addr, std::size_t len) const;
+  /// Drop `pe`'s registration starting at `addr` (pinned or dynamic), as
+  /// when the buffer behind it is released. Returns false when no entry
+  /// starts there (never registered, or already evicted). Charges nothing.
+  bool deregister(int pe, const void* addr);
 
   /// Dynamic (unpinned) ranges retained per PE; 0 = unbounded.
   void set_capacity(std::size_t cap) { capacity_ = cap; }

@@ -173,6 +173,40 @@ TEST(FaultInjection, LongFlapSurfacesErrorsAndSoftwareReplays) {
   EXPECT_GT(rt->faults().count(sim::FaultEvent::kSwReplay), 0u);
 }
 
+TEST(FaultInjection, SmallBlockingPutsLeaveFromTheInlineSlot) {
+  // Under a fault plan a small blocking put still leaves from a
+  // pre-registered inline slot, replays included. The caller's buffer —
+  // here a stack array — is never registered, so no registration-cache hit
+  // can depend on where the compiler placed it.
+  hw::ClusterConfig cluster = make_cluster(2, 1);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.host_heap_bytes = 8u << 20;
+  opts.faults = sim::FaultPlan::parse("flap=1@40+2500");
+  constexpr std::size_t kWords = 8;
+  constexpr int kIters = 40;
+  bool source_registered = true;
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* dst = static_cast<std::uint64_t*>(
+        ctx.shmalloc(kWords * sizeof(std::uint64_t), Domain::kHost));
+    if (ctx.my_pe() == 0) {
+      std::uint64_t words[kWords];
+      for (int iter = 0; iter < kIters; ++iter) {
+        for (std::size_t i = 0; i < kWords; ++i) words[i] = iter * 100u + i;
+        ctx.putmem(dst, words, sizeof(words), 1);
+      }
+      source_registered = ctx.runtime().verbs().reg_cache().covered(0, words, 1);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < kWords; ++i) {
+        ASSERT_EQ(dst[i], (kIters - 1) * 100u + i);
+      }
+    }
+  });
+  EXPECT_FALSE(source_registered);
+  EXPECT_GT(rt->faults().count(sim::FaultEvent::kSwReplay), 0u);
+}
+
 TEST(FaultInjection, ProxyCrashMidGetIsRecovered) {
   hw::ClusterConfig cluster = make_cluster(2, 1);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);

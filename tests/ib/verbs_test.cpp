@@ -56,6 +56,32 @@ TEST(RegistrationCache, PerPeIsolation) {
   EXPECT_FALSE(f.verbs.reg_cache().covered(1, buf.data(), 64));
 }
 
+TEST(RegistrationCache, DeregisterDropsPinnedAndDynamicEntries) {
+  Fixture f;
+  RegistrationCache& rc = f.verbs.reg_cache();
+  rc.set_capacity(1);
+  std::vector<std::byte> pinned(4096), a(4096), b(4096);
+  rc.register_at_init(0, pinned.data(), pinned.size());
+  EXPECT_TRUE(rc.deregister(0, pinned.data()));
+  EXPECT_FALSE(rc.covered(0, pinned.data(), 1));
+  EXPECT_FALSE(rc.deregister(0, pinned.data()));  // already gone
+  EXPECT_FALSE(rc.deregister(1, a.data()));       // PE never registered
+  f.eng.spawn("pe", [&](sim::Process& p) {
+    rc.get_or_register(p, 0, a.data(), a.size());
+    EXPECT_TRUE(rc.deregister(0, a.data()));
+    EXPECT_FALSE(rc.covered(0, a.data(), 1));
+    // The dropped entry left the LRU too: a capacity-1 cache takes a new
+    // range without evicting anything.
+    rc.get_or_register(p, 0, b.data(), b.size());
+    rc.get_or_register(p, 0, a.data(), a.size());  // a miss again
+  });
+  f.eng.run();
+  EXPECT_EQ(rc.misses(), 3u);
+  EXPECT_EQ(rc.evictions(), 1u);  // only b, pushed out by the re-registered a
+  EXPECT_TRUE(rc.covered(0, a.data(), a.size()));
+  EXPECT_FALSE(rc.covered(0, b.data(), 1));
+}
+
 TEST(Verbs, RdmaWriteHostToHostMovesBytes) {
   Fixture f;
   std::vector<std::byte> src(256, std::byte{7}), dst(256);
