@@ -193,7 +193,6 @@ void Ctx::quiet() {
       return pending_.empty();
     });
   }
-  snapshots_.clear();
 }
 
 sim::Duration Ctx::replay_backoff(int replays) const {
@@ -274,25 +273,6 @@ std::pair<std::byte*, sim::CompletionPtr*> Ctx::inline_slot() {
   std::byte* p = inline_ring_.data() + inline_next_ * slot;
   inline_next_ = (inline_next_ + 1) % kInlineSlots;
   return {p, &comp};
-}
-
-std::byte* Ctx::eager_src_slot(int peer) {
-  auto [it, inserted] = eager_src_slots_.try_emplace(peer);
-  if (inserted) {
-    it->second.resize(rt_->eager_slot_bytes());
-    rt_->verbs().reg_cache().register_at_init(pe_, it->second.data(),
-                                              it->second.size());
-  }
-  return it->second.data();
-}
-
-std::byte* Ctx::rendezvous_staging(std::size_t bytes) {
-  return rendezvous_staging(bytes, proc());
-}
-
-std::byte* Ctx::rendezvous_staging(std::size_t bytes, sim::Process& worker) {
-  if (rendezvous_staging_.size() < bytes) regrow(rendezvous_staging_, bytes, worker);
-  return rendezvous_staging_.data();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -268,10 +267,6 @@ class Ctx {
   /// Try-acquire; true on success.
   bool test_lock(std::int64_t* lock_sym);
 
-  /// Barrier over an arbitrary team of PEs, using a user-provided symmetric
-  /// 2-word psync array (counter + release generation). One barrier in
-  /// flight per psync, as the OpenSHMEM pSync rules require.
-  void team_barrier(const std::vector<int>& pes, std::int64_t* psync);
   /// All-to-all personalized exchange: block j of my src lands at block
   /// my_pe of PE j's dst (both symmetric, np * nbytes long).
   void alltoallmem(void* dst_sym, const void* src_sym, std::size_t nbytes);
@@ -329,7 +324,6 @@ class Ctx {
   /// per-PE note for the tracer. The registry's histogram totals therefore
   /// match the protocol table by construction.
   void count_protocol(Protocol proto, std::size_t bytes);
-  Protocol last_protocol() const { return last_protocol_; }
   sim::Mailbox<CtrlMsg>& rx() { return rx_; }
   void track(sim::CompletionPtr c) {
     pending_.push_back(PendingOp{std::move(c), nullptr, 0});
@@ -351,38 +345,20 @@ class Ctx {
       const std::function<sim::CompletionPtr()>& repost);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
-  /// Keep a snapshot buffer alive until pending ops drain (inline puts).
-  void keep_alive(std::shared_ptr<std::vector<std::byte>> buf) {
-    snapshots_.push_back(std::move(buf));
-  }
   /// Host bounce buffer (registered at init) for staging pipelines.
   std::byte* bounce(std::size_t min_bytes);
+  /// Replace `buf` with a fresh zeroed mapping of `bytes`, dropping the old
+  /// buffer's registration before it is unmapped and registering the new
+  /// one (cost charged to `charged`). The one grow path for every staging
+  /// buffer a PE registers, its own or a transport's.
+  void regrow(sim::ZeroPages& buf, std::size_t bytes, sim::Process& charged);
   /// Acquire a pre-registered inline-send slot (second member is the slot's
   /// completion entry to fill); recycles a small ring, waiting when the
   /// oldest slot is still in flight.
   std::pair<std::byte*, sim::CompletionPtr*> inline_slot();
   cudart::Stream& stream() { return stream_; }
-  /// Target-side rendezvous staging (baseline): serialized by a busy flag.
-  /// Registration cost (on growth) is charged to `worker`.
-  std::byte* rendezvous_staging(std::size_t bytes);
-  std::byte* rendezvous_staging(std::size_t bytes, sim::Process& worker);
-  bool staging_busy() const { return staging_busy_; }
-  void set_staging_busy(bool b) { staging_busy_ = b; }
-  std::deque<CtrlMsg>& deferred_rts() { return deferred_rts_; }
-  /// Eager flow control: at most one outstanding eager message per peer.
-  std::map<int, sim::CompletionPtr>& eager_outstanding() {
-    return eager_outstanding_;
-  }
-  /// Registered source-side bounce slot for eager sends to `peer`
-  /// (safe to reuse once the previous eager to that peer is ACKed).
-  std::byte* eager_src_slot(int peer);
 
  private:
-  /// Replace `buf` with a fresh zeroed mapping of `bytes`, dropping the old
-  /// buffer's registration before it is unmapped and registering the new
-  /// one (cost charged to `charged`).
-  void regrow(sim::ZeroPages& buf, std::size_t bytes, sim::Process& charged);
-
   friend class Runtime;
   /// The device-initiated surface mirrors this Ctx's accounting brackets
   /// (op_kind_, make_op, finish_op) so host- and device-issued operations
@@ -409,7 +385,6 @@ class Ctx {
   sim::Process* proc_ = nullptr;  // bound by Runtime::run
 
   std::vector<PendingOp> pending_;
-  std::vector<std::shared_ptr<std::vector<std::byte>>> snapshots_;
   sim::Mailbox<CtrlMsg> rx_;
   sim::Notification progress_note_;
 
@@ -419,11 +394,6 @@ class Ctx {
   std::vector<sim::CompletionPtr> inline_comps_;
   std::size_t inline_next_ = 0;
   cudart::Stream stream_;
-  sim::ZeroPages rendezvous_staging_;
-  bool staging_busy_ = false;
-  std::deque<CtrlMsg> deferred_rts_;
-  std::map<int, sim::CompletionPtr> eager_outstanding_;
-  std::map<int, std::vector<std::byte>> eager_src_slots_;
 
   /// Record the just-finished blocking op's latency in the metrics registry
   /// (keyed kind x protocol) and, when enabled, the tracer.

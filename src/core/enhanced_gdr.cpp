@@ -24,17 +24,17 @@ namespace gdrshmem::core {
 // Path selection lives in core::ProtocolSelector (shared with the
 // device-initiated backends); this transport only executes the choice.
 
-void EnhancedGdrTransport::note_gdr_fallback(const RmaOp& op) {
-  if ((op.local_is_device && !rt_.gdr_available(issuer_)) ||
+void EnhancedGdrTransport::note_gdr_fallback(const RmaOp& op, int issuer) {
+  if ((op.local_is_device && !rt_.gdr_available(issuer)) ||
       (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe))) {
-    rt_.faults().on_event(sim::FaultEvent::kGdrFallback, issuer_);
+    rt_.faults().on_event(sim::FaultEvent::kGdrFallback, issuer);
   }
 }
 
 void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
-  issuer_ = ctx.my_pe();
-  if (rt_.faults_enabled()) note_gdr_fallback(op);
-  switch (rt_.selector().select_put(op, issuer_)) {
+  const int issuer = ctx.my_pe();
+  if (rt_.faults_enabled()) note_gdr_fallback(op, issuer);
+  switch (rt_.selector().select_put(op, issuer)) {
     case PathChoice::kHostShm:
       ctx.count_protocol(Protocol::kHostShm, op.bytes);
       return detail::host_shm_copy(ctx, op.remote, op.local, op.bytes,
@@ -73,9 +73,9 @@ void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
 }
 
 void EnhancedGdrTransport::get(Ctx& ctx, const RmaOp& op) {
-  issuer_ = ctx.my_pe();
-  if (rt_.faults_enabled()) note_gdr_fallback(op);
-  switch (rt_.selector().select_get(op, issuer_)) {
+  const int issuer = ctx.my_pe();
+  if (rt_.faults_enabled()) note_gdr_fallback(op, issuer);
+  switch (rt_.selector().select_get(op, issuer)) {
     case PathChoice::kHostShm:
       ctx.count_protocol(Protocol::kHostShm, op.bytes);
       return detail::host_shm_copy(ctx, op.local, op.remote, op.bytes, -1);

@@ -29,6 +29,27 @@ struct RndvState {
 
 }  // namespace
 
+HostPipelineTransport::HostPipelineTransport(Runtime& rt)
+    : rt_(rt), pes_(static_cast<std::size_t>(rt.num_pes())) {}
+
+std::byte* HostPipelineTransport::eager_buffer(int pe, int peer, Dir dir) {
+  auto [it, inserted] =
+      pes_[static_cast<std::size_t>(pe)].eager_buffers.try_emplace({peer, dir});
+  if (inserted) {
+    it->second.resize(rt_.tuning().eager_limit);
+    rt_.verbs().reg_cache().register_at_init(pe, it->second.data(),
+                                             it->second.size());
+  }
+  return it->second.data();
+}
+
+std::byte* HostPipelineTransport::staging(Ctx& ctx, std::size_t bytes,
+                                          sim::Process& worker) {
+  sim::ZeroPages& buf = pes_[static_cast<std::size_t>(ctx.my_pe())].staging;
+  if (buf.size() < bytes) ctx.regrow(buf, bytes, worker);
+  return buf.data();
+}
+
 // ---------------------------------------------------------------------------
 // dispatch
 
@@ -128,8 +149,8 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
   const int me = ctx.my_pe();
   const int dst = op.target_pe;
 
-  // Flow control: one eager message in flight per peer (one slot each).
-  auto& out = ctx.eager_outstanding();
+  // Flow control: one eager message in flight per peer (one buffer each).
+  auto& out = pes_[static_cast<std::size_t>(me)].eager_outstanding;
   ctx.wait_for([&] {
     auto it = out.find(dst);
     return it == out.end() || it->second->done();
@@ -137,23 +158,21 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 
   // Source staging: D->H bounce for device sources, small copy for host
   // sources — either way the user buffer is immediately reusable.
-  std::byte* slot_src = ctx.eager_src_slot(dst);
+  std::byte* tx = eager_buffer(me, dst, Dir::kTx);
   if (op.local_is_device) {
-    rt_.cuda().memcpy_sync(ctx.proc(), slot_src, op.local, op.bytes);
+    rt_.cuda().memcpy_sync(ctx.proc(), tx, op.local, op.bytes);
   } else {
-    detail::host_shm_copy(ctx, slot_src, op.local, op.bytes, -1);
+    detail::host_shm_copy(ctx, tx, op.local, op.bytes, -1);
   }
 
-  void* remote_slot = rt_.eager_slot(dst, me);
-  auto data_post = [this, &ctx, me, slot_src, dst, remote_slot,
-                    bytes = op.bytes] {
-    return rt_.ib().rdma_write(ctx.proc(), me, slot_src, dst, remote_slot,
-                                  bytes);
+  std::byte* rx = eager_buffer(dst, me, Dir::kRx);
+  auto data_post = [this, &ctx, me, tx, dst, rx, bytes = op.bytes] {
+    return rt_.ib().rdma_write(ctx.proc(), me, tx, dst, rx, bytes);
   };
   if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
-    // The payload must be in the remote eager slot before the notification:
-    // a tier-2 replay of the data write could otherwise land after the
-    // target's final copy read the slot. slot_src stays valid (one eager in
+    // The payload must be in the remote eager buffer before the
+    // notification: a tier-2 replay of the data write could otherwise land
+    // after the target's final copy read it. tx stays valid (one eager in
     // flight per peer), so the replay is exact. On a relaxed-ordering
     // transport (srd) the data write and the notification can also arrive
     // out of issue order, so the data wait is required even fault-free
@@ -181,14 +200,14 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 
 void HostPipelineTransport::on_eager_data(Ctx& ctx, CtrlMsg& msg,
                                           sim::Process& worker) {
-  // Last pipeline hop, executed by the TARGET: eager slot -> final buffer.
-  void* slot = rt_.eager_slot(ctx.my_pe(), msg.from);
+  // Last pipeline hop, executed by the TARGET: eager buffer -> final buffer.
+  std::byte* rx = eager_buffer(ctx.my_pe(), msg.from, Dir::kRx);
   bool dst_dev =
       rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
   if (dst_dev) {
-    rt_.cuda().memcpy_sync(worker, msg.remote, slot, msg.bytes);
+    rt_.cuda().memcpy_sync(worker, msg.remote, rx, msg.bytes);
   } else {
-    detail::host_shm_copy_by(ctx, worker, msg.remote, slot, msg.bytes, -1);
+    detail::host_shm_copy_by(ctx, worker, msg.remote, rx, msg.bytes, -1);
   }
   auto done = std::static_pointer_cast<sim::Completion>(msg.state);
   if (msg.is_reply) {
@@ -212,19 +231,18 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   // The TARGET of a small get eager-sends the data back.
   const int requester = msg.from;
   const int me = ctx.my_pe();
-  std::byte* slot_src = ctx.eager_src_slot(requester);
+  std::byte* tx = eager_buffer(me, requester, Dir::kTx);
   bool src_dev =
       rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
   if (src_dev) {
-    rt_.cuda().memcpy_sync(worker, slot_src, msg.remote, msg.bytes);
+    rt_.cuda().memcpy_sync(worker, tx, msg.remote, msg.bytes);
   } else {
-    detail::host_shm_copy_by(ctx, worker, slot_src, msg.remote, msg.bytes, -1);
+    detail::host_shm_copy_by(ctx, worker, tx, msg.remote, msg.bytes, -1);
   }
-  auto data_post = [this, &worker, me, slot_src, requester,
-                    remote_slot = rt_.eager_slot(requester, me),
+  auto data_post = [this, &worker, me, tx, requester,
+                    rx = eager_buffer(requester, me, Dir::kRx),
                     bytes = msg.bytes] {
-    return rt_.ib().rdma_write(worker, me, slot_src, requester, remote_slot,
-                                  bytes);
+    return rt_.ib().rdma_write(worker, me, tx, requester, rx, bytes);
   };
   // Same data-before-notification requirement as eager_put: also needed
   // fault-free on a relaxed-ordering transport.
@@ -253,21 +271,22 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
 void HostPipelineTransport::grant_cts(Ctx& ctx, CtrlMsg& rts,
                                       sim::Process& worker) {
   auto st = std::static_pointer_cast<RndvState>(rts.state);
-  std::byte* staging = ctx.rendezvous_staging(rts.bytes, worker);
-  ctx.set_staging_busy(true);
+  std::byte* buf = staging(ctx, rts.bytes, worker);
+  pes_[static_cast<std::size_t>(ctx.my_pe())].staging_busy = true;
   Runtime& rt = rt_;
   const int requester = rts.from;
   rt_.ib().post_send(worker, ctx.my_pe(), requester, 16,
-                        [st, staging, &rt, requester] {
-                          st->staging = staging;
+                        [st, buf, &rt, requester] {
+                          st->staging = buf;
                           st->cts.fire();
                           rt.notify_pe(requester);
                         });
 }
 
 void HostPipelineTransport::on_rts(Ctx& ctx, CtrlMsg& msg, sim::Process& worker) {
-  if (ctx.staging_busy()) {
-    ctx.deferred_rts().push_back(msg);
+  PeState& self = pes_[static_cast<std::size_t>(ctx.my_pe())];
+  if (self.staging_busy) {
+    self.deferred_rts.push_back(msg);
     return;
   }
   grant_cts(ctx, msg, worker);
@@ -364,10 +383,11 @@ void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
   if (st->copied < st->total) return;
 
   // Transfer complete: release staging, service a deferred RTS, notify.
-  ctx.set_staging_busy(false);
-  if (!ctx.deferred_rts().empty()) {
-    CtrlMsg next = ctx.deferred_rts().front();
-    ctx.deferred_rts().pop_front();
+  PeState& self = pes_[static_cast<std::size_t>(ctx.my_pe())];
+  self.staging_busy = false;
+  if (!self.deferred_rts.empty()) {
+    CtrlMsg next = self.deferred_rts.front();
+    self.deferred_rts.pop_front();
     grant_cts(ctx, next, worker);
   }
   if (msg.is_reply) {
@@ -418,12 +438,13 @@ void HostPipelineTransport::remote_request_get(Ctx& ctx, const RmaOp& op) {
 
   ctx.count_protocol(Protocol::kRendezvous, op.bytes);
   // Requester-side staging for the reverse pipeline.
-  ctx.wait_for([&] { return !ctx.staging_busy(); });
+  PeState& self = pes_[static_cast<std::size_t>(me)];
+  ctx.wait_for([&] { return !self.staging_busy; });
   auto st = std::make_shared<RndvState>();
   st->total = op.bytes;
   st->requester = me;
-  st->staging = ctx.rendezvous_staging(op.bytes);
-  ctx.set_staging_busy(true);
+  st->staging = staging(ctx, op.bytes, ctx.proc());
+  self.staging_busy = true;
 
   CtrlMsg req;
   req.kind = CtrlMsg::Kind::kRendezvousGetReq;

@@ -87,17 +87,6 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
     }
   }
 
-  // Eager slot regions, one slot per source PE. Only the host-pipeline
-  // transport sends eagerly; the others never map them.
-  if (opts_.transport == TransportKind::kHostPipeline) {
-    const std::size_t region = opts_.tuning.eager_limit * static_cast<std::size_t>(np);
-    eager_storage_.reserve(static_cast<std::size_t>(np));
-    for (int pe = 0; pe < np; ++pe) {
-      const sim::ZeroPages& slots = eager_storage_.emplace_back(region);
-      verbs_.reg_cache().register_at_init(pe, slots.data(), region);
-    }
-  }
-
   // Per-PE contexts. Each reserves the runtime-internal sync region as the
   // first (symmetric) allocation of its host heap.
   ctxs_.reserve(static_cast<std::size_t>(np));
@@ -213,18 +202,6 @@ bool Runtime::gdr_inter_socket(int pe) const {
   return cluster_.node(pl.node).hcas.at(static_cast<std::size_t>(pl.hca)).socket !=
          pl.socket;
 }
-
-void* Runtime::eager_slot(int dst_pe, int src_pe) {
-  if (eager_storage_.empty()) {
-    throw UnsupportedError(std::string("eager slots exist only under the "
-                                       "host-pipeline transport, not ") +
-                           to_string(opts_.transport));
-  }
-  return eager_storage_.at(static_cast<std::size_t>(dst_pe)).data() +
-         static_cast<std::size_t>(src_pe) * opts_.tuning.eager_limit;
-}
-
-std::size_t Runtime::eager_slot_bytes() const { return opts_.tuning.eager_limit; }
 
 std::byte* Runtime::map_peer_gpu_heap(sim::Process& proc, int opener_pe,
                                       int owner_pe) {

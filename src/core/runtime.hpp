@@ -115,12 +115,9 @@ struct OpStats {
   std::uint64_t atomics = 0;
   std::uint64_t barriers = 0;
 
-  Protocol last_protocol = Protocol::kCount_;
-
   void count(Protocol p, std::size_t bytes) {
     ops_by_protocol[static_cast<std::size_t>(p)] += 1;
     bytes_by_protocol[static_cast<std::size_t>(p)] += bytes;
-    last_protocol = p;
   }
   std::uint64_t ops(Protocol p) const {
     return ops_by_protocol[static_cast<std::size_t>(p)];
@@ -198,12 +195,6 @@ class Runtime {
   /// Table III P2P regime.
   bool gdr_inter_socket(int pe) const;
 
-  /// Remote eager slot reserved for (src -> dst) baseline traffic. The slot
-  /// regions exist only under the host-pipeline transport; any other
-  /// transport gets an UnsupportedError.
-  void* eager_slot(int dst_pe, int src_pe);
-  std::size_t eager_slot_bytes() const;
-
   /// IPC-map `owner_pe`'s GPU heap from `opener`'s context (one-time cost).
   std::byte* map_peer_gpu_heap(sim::Process& proc, int opener_pe, int owner_pe);
 
@@ -239,7 +230,6 @@ class Runtime {
   std::vector<sim::ZeroPages> host_heap_storage_;
   std::vector<sim::ZeroPages> pmem_heap_storage_;
   std::vector<PeHeaps> heaps_;
-  std::vector<sim::ZeroPages> eager_storage_;  // host-pipeline only
   std::vector<std::unique_ptr<Ctx>> ctxs_;
   std::vector<std::unique_ptr<ProxyDaemon>> proxies_;
   std::unique_ptr<Transport> transport_;

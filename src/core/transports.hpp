@@ -1,7 +1,14 @@
 // The three transport designs compared in the paper (Table I).
 #pragma once
 
+#include <deque>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "core/transport.hpp"
+#include "sim/future.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -25,9 +32,11 @@ class NaiveTransport final : public Transport {
 /// D-D via a host-staged pipeline (eager below a threshold, rendezvous
 /// above) whose last hop is performed *by the target PE* — breaking true
 /// one-sidedness. Inter-node H-D / D-H are unsupported, as in the paper.
+/// The transport owns every PE's protocol state (staging, flow control,
+/// eager buffers); no other layer knows it exists.
 class HostPipelineTransport final : public Transport {
  public:
-  explicit HostPipelineTransport(Runtime& rt) : rt_(rt) {}
+  explicit HostPipelineTransport(Runtime& rt);
   std::string_view name() const override { return "host-pipeline"; }
   void put(Ctx& ctx, const RmaOp& op) override;
   void get(Ctx& ctx, const RmaOp& op) override;
@@ -47,7 +56,29 @@ class HostPipelineTransport final : public Transport {
   void on_get_req(Ctx& ctx, CtrlMsg& msg, sim::Process& worker);
   void grant_cts(Ctx& ctx, CtrlMsg& rts, sim::Process& worker);
 
+  enum class Dir { kTx, kRx };
+  /// `pe`'s registered eager_limit buffer for messages to (kTx) or from
+  /// (kRx) `peer`, made on first use. Reusable once the previous eager
+  /// message between the two in that direction is done.
+  std::byte* eager_buffer(int pe, int peer, Dir dir);
+  /// `ctx`'s rendezvous staging, grown (and re-registered, charged to
+  /// `worker`) to at least `bytes`.
+  std::byte* staging(Ctx& ctx, std::size_t bytes, sim::Process& worker);
+
+  struct PeState {
+    /// Rendezvous staging: the target's for puts, the requester's for gets.
+    /// One transfer at a time; RTS arriving while it is busy wait in order.
+    sim::ZeroPages staging;
+    bool staging_busy = false;
+    std::deque<CtrlMsg> deferred_rts;
+    /// Eager flow control: at most one outstanding eager message per peer.
+    std::map<int, sim::CompletionPtr> eager_outstanding;
+    /// Plain heap storage: one mapping each would cost np² mmaps.
+    std::map<std::pair<int, Dir>, std::vector<std::byte>> eager_buffers;
+  };
+
   Runtime& rt_;
+  std::vector<PeState> pes_;  // indexed by PE, sized once
 };
 
 /// This paper's design (Section III): GDR/IPC hybrids intra-node, Direct
@@ -74,14 +105,12 @@ class EnhancedGdrTransport final : public Transport {
   bool attempt_proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
   bool attempt_proxy_get(Ctx& ctx, const RmaOp& op);
 
-  /// Record a gdr-fallback event when a device leg of `op` sits on a node
-  /// whose P2P capability has been revoked (fault plans only).
-  void note_gdr_fallback(const RmaOp& op);
+  /// Record a gdr-fallback event when a device leg of `op`, issued by
+  /// `issuer`, sits on a node whose P2P capability has been revoked (fault
+  /// plans only).
+  void note_gdr_fallback(const RmaOp& op, int issuer);
 
   Runtime& rt_;
-  /// PE issuing the operation being dispatched (set on entry; execution is
-  /// serialized by the simulation, so a single slot is safe).
-  int issuer_ = 0;
 };
 
 }  // namespace gdrshmem::core

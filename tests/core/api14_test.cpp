@@ -7,6 +7,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -212,6 +215,25 @@ TEST(FromEnv, ParsesAndValidatesKnownKeys) {
   EXPECT_DOUBLE_EQ(opts.faults.wire_error_rate, 1e-3);
   ASSERT_EQ(opts.faults.crashes.size(), 1u);
   EXPECT_EQ(opts.faults.crashes[0].node, 1);
+}
+
+// Every key from_env accepts appears as a line of README's env table.
+TEST(FromEnv, ReadmeDocumentsEveryAcceptedKey) {
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "cannot read " << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string source = slurp(GDRSHMEM_SOURCE_DIR "/src/core/options.cpp");
+  const std::string readme = slurp(GDRSHMEM_SOURCE_DIR "/README.md");
+  const std::regex accepted(R"re(key == "(GDRSHMEM_[A-Z0-9_]+)")re");
+  int keys = 0;
+  for (std::sregex_iterator it(source.begin(), source.end(), accepted), end;
+       it != end; ++it, ++keys) {
+    EXPECT_NE(readme.find("\n" + (*it)[1].str() + "="), std::string::npos)
+        << (*it)[1] << " is accepted by from_env but missing from README";
+  }
+  EXPECT_GE(keys, 30) << "options.cpp no longer matches the key pattern";
 }
 
 TEST(FromEnv, UnknownVariableIsAnError) {

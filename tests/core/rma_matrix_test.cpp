@@ -106,7 +106,10 @@ std::vector<RmaCase> all_cases() {
     for (bool intra : {true, false}) {
       for (bool ldev : {false, true}) {
         for (Domain rd : {Domain::kHost, Domain::kGpu}) {
+          // eager_limit and one past it straddle the baseline's
+          // eager/rendezvous switch.
           for (std::size_t bytes : {std::size_t{8}, std::size_t{4096},
+                                    Tuning{}.eager_limit, Tuning{}.eager_limit + 1,
                                     std::size_t{1} << 20}) {
             for (bool is_put : {true, false}) {
               cases.push_back(RmaCase{k, intra, ldev, rd, bytes, is_put});

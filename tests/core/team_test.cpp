@@ -138,6 +138,35 @@ TEST(Team, SlotExhaustionThrowsAndDestroyRecycles) {
            });
 }
 
+TEST(Team, SyncWaitsForMembersOnly) {
+  std::vector<int> phase(6, 0);
+  run_spmd(make_cluster(3, 2), make_options(TransportKind::kEnhancedGdr),
+           [&](Ctx& ctx) {
+             // Even PEs of 6: {0, 2, 4}.
+             Team* evens = ctx.team_split_strided(ctx.team_world(), 0, 2, 3);
+             if (evens != nullptr) {
+               for (int round = 0; round < 8; ++round) {
+                 ctx.compute(sim::Duration::us(
+                     static_cast<double>(1 + (ctx.my_pe() * 7 + round) % 11)));
+                 phase[ctx.my_pe()] = round + 1;
+                 ctx.team_sync(*evens);
+                 for (int p = 0; p < 6; p += 2) {
+                   ASSERT_GE(phase[p], round + 1) << "team PE " << p << " behind";
+                 }
+               }
+               ctx.team_destroy(evens);
+             } else {
+               // Odd PEs are not members and never wait for the team: one
+               // microsecond after the split, no member is past round 1.
+               ctx.compute(sim::Duration::us(1));
+               for (int p = 0; p < 6; p += 2) {
+                 EXPECT_LT(phase[p], 2) << "non-member waited for team PE " << p;
+               }
+             }
+             ctx.barrier_all();
+           });
+}
+
 TEST(Team, CollectivesOnStridedTeam) {
   run_spmd(make_cluster(2, 3), make_options(TransportKind::kEnhancedGdr),
            [&](Ctx& ctx) {
