@@ -18,15 +18,12 @@
 //                      scale point. This is the scale-out regression series:
 //                      events/sec collapsing at high PE counts means the
 //                      event queue or the stack management stopped scaling.
-//   4. 4K-PE A/B     — optimized configuration (timing-wheel queue, warm
-//                      fiber-stack pool, batched wakeups, fast fiber switch)
-//                      vs the PR-1 baseline (binary heap, cold unpooled
-//                      stacks, per-waiter wakeups, swapcontext + its
-//                      per-swap syscall) on a barrier+message-rate
-//                      workload, measured end-to-end: engine construction,
-//                      spawn, run, teardown. Headline: speedup_4kpe (target
-//                      >= 5x; the pool only pays off across repeated runs in
-//                      one process, which is exactly the sweep/CI shape).
+//   4. 4K lifecycle  — a barrier+message-rate job at 4096 PEs, timed
+//                      end-to-end (engine construction, spawn, run,
+//                      teardown) over 3 jobs with a warm fiber-stack pool:
+//                      the pool only pays off across repeated engine
+//                      lifetimes in one process, which is exactly the
+//                      sweep/CI shape.
 //   5. cross-checks  — heap and wheel must execute identical event counts to
 //                      identical virtual end times (and batching must not
 //                      move virtual time) or the bench aborts: the perf
@@ -52,14 +49,12 @@
 #include "core/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/stack_pool.hpp"
 #include "sim/time.hpp"
 
 using namespace gdrshmem;
 using sim::BackendKind;
 using sim::Duration;
 using sim::Engine;
-using sim::FiberStackPool;
 using sim::Mailbox;
 using sim::Process;
 using sim::QueueKind;
@@ -327,76 +322,36 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // ---- 4. 4K-PE optimized-vs-baseline A/B --------------------------------
-  // End-to-end lifecycle timing (construct + spawn + run + teardown): the
-  // pool's mmap/munmap savings, the wheel/batching queue savings, and the
-  // syscall-free fiber switch all land in this window. Baseline = PR-1
-  // engine shape: heap queue, per-waiter wakeups, pooling disabled (every
-  // stack is a fresh mmap, torn down again), swapcontext handoffs (an
-  // rt_sigprocmask syscall per switch). The switch mode is read per Engine
-  // construction, so pinning it via the environment around each run is exact.
+  // ---- 4. 4K-PE job lifecycle --------------------------------------------
   // The unit under test is a *job*: construct, spawn 4K PEs, run a
-  // barrier+message-rate round, tear down — repeated kReps times in one
+  // barrier+message-rate round, tear down — repeated kJobs times in one
   // process, which is exactly how the engine is used (every test, bench
-  // point, and sweep iteration is its own Engine lifetime). The stack
-  // pool's whole value is amortization across those lifetimes, so the A/B
-  // must include them; a single long in-engine run would hide it.
-  const int ab_pes = 4096, ab_iters = 1, ab_window = 4, ab_reps = 3;
-  FiberStackPool& pool = FiberStackPool::instance();
-  const std::size_t pool_cap = pool.capacity();
-
-  auto run_reps = [&](const Config& cfg) {
+  // point, and sweep iteration is its own Engine lifetime). The window
+  // covers the pooled stack reuse, the queue and the fiber switch.
+  {
+    constexpr int kPes = 4096, kJobs = 3;
+    Config cfg;
+    cfg.barrier = true;
+    cfg.time_lifecycle = true;
+    run_message_rate(cfg, kPes, 1, 1);  // warm the pool at 4K geometry
     Result total;
-    for (int rep = 0; rep < ab_reps; ++rep) {
-      Result r = run_message_rate(cfg, ab_pes, ab_iters, ab_window);
+    for (int job = 0; job < kJobs; ++job) {
+      Result r = run_message_rate(cfg, kPes, 1, 4);
       total.wall_s += r.wall_s;
       total.events += r.events;
-      if (rep == 0) {
+      if (job == 0) {
         total.virtual_end_ns = r.virtual_end_ns;
       } else if (r.virtual_end_ns != total.virtual_end_ns) {
-        die_divergence("4K A/B repetitions", total, r);
+        die_divergence("4K lifecycle jobs", total, r);
       }
     }
-    return total;
-  };
-
-  Config baseline_cfg;
-  baseline_cfg.queue = QueueKind::kHeap;
-  baseline_cfg.batch = false;
-  baseline_cfg.barrier = true;
-  baseline_cfg.time_lifecycle = true;
-  pool.set_capacity(0);
-  pool.trim();
-  ::setenv("GDRSHMEM_SIM_FIBER_SWITCH", "ucontext", 1);
-  Result ab_base = run_reps(baseline_cfg);
-
-  Config opt_cfg = baseline_cfg;
-  opt_cfg.queue = QueueKind::kWheel;
-  opt_cfg.batch = true;
-  pool.set_capacity(pool_cap);
-  ::setenv("GDRSHMEM_SIM_FIBER_SWITCH", "fast", 1);
-  run_message_rate(opt_cfg, ab_pes, 1, 1);  // warm the pool at 4K geometry
-  Result ab_opt = run_reps(opt_cfg);
-  ::unsetenv("GDRSHMEM_SIM_FIBER_SWITCH");
-
-  if (ab_base.virtual_end_ns != ab_opt.virtual_end_ns) {
-    die_divergence("4K A/B configs", ab_base, ab_opt);
+    std::printf("== 4K-PE lifecycle (%d jobs, construct+spawn+run+teardown "
+                "each) ==\n%.4f s, %llu events\n\n",
+                kJobs, total.wall_s,
+                static_cast<unsigned long long>(total.events));
+    bench::add_wall_point("engine/lifecycle/4096pe", total.wall_s,
+                          total.events);
   }
-  const double ab_speedup = ab_base.wall_s / ab_opt.wall_s;
-  std::printf("== 4K-PE A/B (%d jobs, lifecycle wall: "
-              "construct+spawn+run+teardown each) ==\n", ab_reps);
-  std::printf("baseline  (heap, unpooled, unbatched, ucontext): %.4f s, "
-              "%llu events\n",
-              ab_base.wall_s, static_cast<unsigned long long>(ab_base.events));
-  std::printf("optimized (wheel, pooled, batched, fast switch): %.4f s, "
-              "%llu events\n",
-              ab_opt.wall_s, static_cast<unsigned long long>(ab_opt.events));
-  std::printf("speedup: %.1fx (target: >= 5x)\n\n", ab_speedup);
-  bench::add_wall_point("engine/4kpe_ab/baseline", ab_base.wall_s,
-                        ab_base.events);
-  bench::add_wall_point("engine/4kpe_ab/optimized", ab_opt.wall_s,
-                        ab_opt.events);
-  bench::add_metric("speedup_4kpe_vs_baseline", ab_speedup);
 
   // ---- 5. queue/batching determinism cross-checks ------------------------
   {

@@ -28,6 +28,9 @@
 #                              flaking on box-to-box variance.
 #
 # Missing or malformed files fail too: a gate that silently skips is no gate.
+# So does a fresh point or wall point the baseline lacks: a renamed point
+# would otherwise leave the gate without a word, and a new one is ungated
+# until the baseline gains it.
 set -euo pipefail
 
 fresh_dir=${1:?usage: check_perf.sh <fresh_dir> [baseline_dir]}
@@ -75,6 +78,7 @@ if not baselines:
 
 regressions, compared = [], 0
 wall_failures, wall_compared = [], 0
+unbaselined = []
 for base_path in baselines:
     base = load(base_path)
     fresh_path = fresh_dir / base_path.name
@@ -82,6 +86,9 @@ for base_path in baselines:
         sys.exit(f"check_perf: {fresh_path} missing (bench not run?)")
     fresh = load(fresh_path)
     fresh_pts = {p["name"]: p["virtual_us"] for p in fresh["points"]}
+    base_names = {p["name"] for p in base["points"]}
+    unbaselined += [f"{base_path.name}: point '{n}'" for n in fresh_pts
+                    if n not in base_names]
     for p in base["points"]:
         name, want = p["name"], p["virtual_us"]
         if name not in fresh_pts:
@@ -94,6 +101,9 @@ for base_path in baselines:
             print(f"  note: {base_path.name}:{name} improved "
                   f"{want:.3f} -> {got:.3f} us (refresh baseline to lock in)")
     fresh_wall = {p["name"]: p for p in fresh["wall_points"]}
+    base_wall = {p["name"] for p in base["wall_points"]}
+    unbaselined += [f"{base_path.name}: wall point '{n}'" for n in fresh_wall
+                    if n not in base_wall]
     for p in base["wall_points"]:
         name = p["name"]
         if name not in fresh_wall:
@@ -116,7 +126,12 @@ for base_path in baselines:
                 f"{p['events_per_sec']:.0f} -> {got['events_per_sec']:.0f} "
                 f"(below floor {floor:.0f} = baseline x {wall_frac})")
 
-if regressions or wall_failures:
+if regressions or wall_failures or unbaselined:
+    if unbaselined:
+        print(f"check_perf: FAIL — {len(unbaselined)} fresh point(s) missing "
+              "from the baseline (renamed or new; add them to the baseline):")
+        for msg in unbaselined:
+            print(f"  {msg}")
     if regressions:
         print(f"check_perf: FAIL — {len(regressions)} virtual-time "
               f"regression(s) (tolerance {tol:.0%}):")

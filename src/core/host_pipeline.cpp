@@ -201,7 +201,8 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::on_eager_data(Ctx& ctx, CtrlMsg& msg,
                                           sim::Process& worker) {
   // Last pipeline hop, executed by the TARGET: eager buffer -> final buffer.
-  std::byte* rx = eager_buffer(ctx.my_pe(), msg.from, Dir::kRx);
+  std::byte* rx = eager_buffer(ctx.my_pe(), msg.from,
+                               msg.is_reply ? Dir::kReplyRx : Dir::kRx);
   bool dst_dev =
       rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
   if (dst_dev) {
@@ -231,7 +232,7 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   // The TARGET of a small get eager-sends the data back.
   const int requester = msg.from;
   const int me = ctx.my_pe();
-  std::byte* tx = eager_buffer(me, requester, Dir::kTx);
+  std::byte* tx = eager_buffer(me, requester, Dir::kReplyTx);
   bool src_dev =
       rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
   if (src_dev) {
@@ -240,7 +241,7 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
     detail::host_shm_copy_by(ctx, worker, tx, msg.remote, msg.bytes, -1);
   }
   auto data_post = [this, &worker, me, tx, requester,
-                    rx = eager_buffer(requester, me, Dir::kRx),
+                    rx = eager_buffer(requester, me, Dir::kReplyRx),
                     bytes = msg.bytes] {
     return rt_.ib().rdma_write(worker, me, tx, requester, rx, bytes);
   };

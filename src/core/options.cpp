@@ -105,30 +105,6 @@ RuntimeOptions RuntimeOptions::from_env() {
       // Consumed by the fiber backend at spawn time; validate eagerly.
       // Units: KiB of usable stack per fiber (excluding the guard page).
       if (env_int(key, value) < 64) bad(key, "must be >= 64 (KiB per fiber)");
-    } else if (key == "GDRSHMEM_SIM_STACK_POOL") {
-      // Consumed by the fiber stack pool at first use; validate eagerly.
-      // Units: number of stacks retained across engine lifetimes (0 disables
-      // pooling).
-      if (env_int(key, value) < 0) bad(key, "must be >= 0 (pooled stacks)");
-    } else if (key == "GDRSHMEM_SIM_QUEUE") {
-      // Also consumed directly by the engine; validated here for the error
-      // message and mirrored into the options for programmatic use.
-      if (value == "heap") {
-        opts.sim_queue = sim::QueueKind::kHeap;
-      } else if (value == "wheel") {
-        opts.sim_queue = sim::QueueKind::kWheel;
-      } else {
-        bad(key, "expected 'heap' or 'wheel', got \"" + value + "\"");
-      }
-    } else if (key == "GDRSHMEM_SIM_BATCH") {
-      opts.sim_batch = env_bool(key, value);
-    } else if (key == "GDRSHMEM_SIM_FIBER_SWITCH") {
-      // Consumed by the fiber backend at engine construction; validate
-      // eagerly. ("fast" still runs as ucontext on non-x86-64 hosts, but the
-      // spelling must be one of the two modes everywhere.)
-      if (value != "fast" && value != "ucontext") {
-        bad(key, "expected 'fast' or 'ucontext', got \"" + value + "\"");
-      }
     } else if (key == "GDRSHMEM_TRANSPORT") {
       if (value == "naive") {
         opts.transport = TransportKind::kNaive;
@@ -308,8 +284,7 @@ RuntimeOptions RuntimeOptions::from_env() {
       }
     } else {
       bad(key,
-          "unknown GDRSHMEM_* variable (known: SIM_BACKEND, SIM_QUEUE, "
-          "SIM_BATCH, SIM_FIBER_SWITCH, SIM_STACK_KB, SIM_STACK_POOL, "
+          "unknown GDRSHMEM_* variable (known: SIM_BACKEND, SIM_STACK_KB, "
           "TRANSPORT, HOST_HEAP, GPU_HEAP, PMEM_HEAP, SERVICE_THREAD, "
           "SERVICE_THREAD_PENALTY, USE_PROXY, EAGER_LIMIT, PIPELINE_CHUNK, "
           "INLINE_PUT_LIMIT, LOOPBACK_GDR_WRITE_LIMIT, "

@@ -45,14 +45,14 @@ struct RuntimeOptions {
   /// overridable per-process via GDRSHMEM_SIM_BACKEND). Both backends are
   /// bit-identical in virtual time; threads is the slow fallback.
   sim::BackendKind sim_backend = sim::backend_from_env();
-  /// Pending-event queue for the engine (timing wheel by default;
-  /// overridable via GDRSHMEM_SIM_QUEUE). Both kinds pop the same strict
-  /// (time, seq) order, so they are bit-identical; heap is kept for A/B
-  /// benchmarking and differential testing.
-  sim::QueueKind sim_queue = sim::queue_from_env();
-  /// Coalesce notification fan-out into one queue event per cohort
-  /// (GDRSHMEM_SIM_BATCH; on by default). Trace-order identical either way.
-  bool sim_batch = sim::batch_from_env();
+  /// Pending-event queue for the engine. Both kinds pop the same strict
+  /// (time, seq) order, so they are bit-identical; the binary heap is the
+  /// differential-test reference for the default timing wheel.
+  sim::QueueKind sim_queue = sim::QueueKind::kWheel;
+  /// Coalesce notification fan-out into one queue event per cohort (on by
+  /// default). Trace-order identical either way; off is the per-waiter
+  /// differential-test reference.
+  bool sim_batch = true;
   /// The alternative Section III-C rejects in favor of the proxy: a service
   /// thread per PE progresses incoming transfers asynchronously — restoring
   /// overlap for the baseline, but stealing CPU from the application

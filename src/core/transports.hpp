@@ -56,10 +56,12 @@ class HostPipelineTransport final : public Transport {
   void on_get_req(Ctx& ctx, CtrlMsg& msg, sim::Process& worker);
   void grant_cts(Ctx& ctx, CtrlMsg& rts, sim::Process& worker);
 
-  enum class Dir { kTx, kRx };
-  /// `pe`'s registered eager_limit buffer for messages to (kTx) or from
-  /// (kRx) `peer`, made on first use. Reusable once the previous eager
-  /// message between the two in that direction is done.
+  /// Eager puts use kTx/kRx; replies to eager gets use their own pair, so
+  /// a put and a get crossing between two PEs never share a buffer.
+  enum class Dir { kTx, kRx, kReplyTx, kReplyRx };
+  /// `pe`'s registered eager_limit buffer for messages to (kTx, kReplyTx) or
+  /// from (kRx, kReplyRx) `peer`, made on first use. Reusable once the
+  /// previous eager message between the two in that direction is done.
   std::byte* eager_buffer(int pe, int peer, Dir dir);
   /// `ctx`'s rendezvous staging, grown (and re-registered, charged to
   /// `worker`) to at least `bytes`.

@@ -29,17 +29,6 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind k) {
   return k == BackendKind::kFibers ? make_fiber_backend() : make_thread_backend();
 }
 
-bool batch_from_env() {
-  const char* v = std::getenv("GDRSHMEM_SIM_BATCH");
-  if (v == nullptr || *v == '\0') return true;
-  std::string s(v);
-  if (s == "1" || s == "on" || s == "true") return true;
-  if (s == "0" || s == "off" || s == "false") return false;
-  throw std::invalid_argument(
-      "GDRSHMEM_SIM_BATCH must be one of 0/1/on/off/true/false, got '" + s +
-      "'");
-}
-
 // ---------------------------------------------------------------------------
 // ExecutionBackend shared helpers
 

@@ -118,16 +118,12 @@ class Process {
   void* user_slot_ = nullptr;
 };
 
-/// Wakeup batching chosen by GDRSHMEM_SIM_BATCH (0/1, on/off, true/false);
-/// on when unset. Unknown values throw std::invalid_argument.
-bool batch_from_env();
-
 /// The event loop. Owns all processes, the pending-event queue, and the
 /// execution backend.
 class Engine {
  public:
   explicit Engine(BackendKind backend = backend_from_env(),
-                  QueueKind queue = queue_from_env());
+                  QueueKind queue = QueueKind::kWheel);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -140,7 +136,8 @@ class Engine {
   /// that resumes the whole woken cohort in registration order, instead of
   /// one event per waiter — a 16K-PE barrier release costs one queue
   /// operation rather than 16K. Virtual times and process execution order
-  /// are unchanged; only events_executed() differs. Toggle for A/B runs.
+  /// are unchanged; only events_executed() differs. Off is the per-waiter
+  /// reference that the determinism tests compare against.
   bool batch_wakeups() const { return batch_wakeups_; }
   void set_batch_wakeups(bool b) { batch_wakeups_ = b; }
 
@@ -196,7 +193,7 @@ class Engine {
 
   // Pending events live in a slot pool (`slots_` + `free_slots_`) so the
   // callback storage is recycled instead of reallocated; the ordering
-  // structure (EventQueue: timing wheel by default, binary heap for A/B and
+  // structure (EventQueue: timing wheel by default, binary heap for
   // differential testing) holds only lightweight {time, seq, slot} entries.
   // Order is the strict total order (at, seq) — queue layout can never
   // affect pop order, which keeps runs bit-identical across backends *and*
@@ -213,7 +210,7 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   EventQueue queue_;
-  bool batch_wakeups_ = batch_from_env();
+  bool batch_wakeups_ = true;
   std::size_t slot_pool_hwm_ = 0;
   std::vector<EventFn> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -3,21 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 namespace gdrshmem::sim {
-
-QueueKind queue_from_env() {
-  const char* v = std::getenv("GDRSHMEM_SIM_QUEUE");
-  if (v == nullptr || *v == '\0') return QueueKind::kWheel;
-  std::string s(v);
-  if (s == "heap") return QueueKind::kHeap;
-  if (s == "wheel") return QueueKind::kWheel;
-  throw std::invalid_argument(
-      "GDRSHMEM_SIM_QUEUE must be 'heap' or 'wheel', got '" + s + "'");
-}
 
 const char* to_string(QueueKind k) {
   return k == QueueKind::kHeap ? "heap" : "wheel";

@@ -6,11 +6,10 @@
 // so the data structure is swappable without touching the determinism
 // contract. Two implementations live behind `QueueKind`:
 //
-//   * heap  — explicit binary min-heap (the PR 1 structure). O(log n)
-//             push/pop where n is the number of pending events; n grows with
-//             the PE count, so at 4K-16K PEs every push/pop walks a ~12-14
-//             level sift path. Kept for A/B benchmarking and as the
-//             differential-testing reference.
+//   * heap  — explicit binary min-heap. O(log n) push/pop where n is the
+//             number of pending events; n grows with the PE count, so at
+//             4K-16K PEs every push/pop walks a ~12-14 level sift path. Kept
+//             as the differential-testing reference, selected only in code.
 //   * wheel — hierarchical timing wheel (Varghese & Lauck): 6 levels of 64
 //             slots each, one uint64 occupancy bitmap per level. Level g has
 //             granularity 64^g ns, so the wheel spans 64^6 ns (~68 s) of
@@ -43,10 +42,6 @@
 namespace gdrshmem::sim {
 
 enum class QueueKind { kHeap, kWheel };
-
-/// Queue chosen by GDRSHMEM_SIM_QUEUE ("heap" | "wheel"); wheel when unset.
-/// Unknown values throw std::invalid_argument.
-QueueKind queue_from_env();
 
 const char* to_string(QueueKind k);
 

@@ -3,9 +3,9 @@
 // A `Process` is a cooperative thread of control; *how* control transfers
 // between the engine loop and a process body is a backend concern:
 //
-//   * fibers  — user-space stackful contexts (makecontext/swapcontext) with
-//               guard-paged stacks; a handoff is a function-call-cost context
-//               swap on the engine's own OS thread. Default.
+//   * fibers  — user-space stackful contexts with guard-paged stacks; a
+//               handoff is a function-call-cost register swap on the
+//               engine's own OS thread. Default.
 //   * threads — one OS thread per process with a mutex/condvar baton; a
 //               handoff costs two kernel context switches. Kept as a
 //               fallback and as the determinism cross-check.
@@ -30,25 +30,6 @@ enum class BackendKind { kThreads, kFibers };
 BackendKind backend_from_env();
 
 const char* to_string(BackendKind k);
-
-/// How the fiber backend swaps contexts:
-///   * fast     — a ~20-instruction register swap (callee-saved GPRs, mxcsr,
-///                x87 control word). No syscall. x86-64 only; on other
-///                architectures it silently degrades to ucontext.
-///   * ucontext — swapcontext(3). Portable, but glibc performs an
-///                rt_sigprocmask syscall per swap, which dominates handoff
-///                cost (~1 us each) at 4K-16K PEs. Kept as the reference and
-///                as the A/B baseline for bench_engine_overhead.
-/// Both modes transfer control at the same points, so results are
-/// bit-identical. Selected by GDRSHMEM_SIM_FIBER_SWITCH; fast when unset.
-enum class FiberSwitch { kFast, kUcontext };
-
-/// Mode chosen by GDRSHMEM_SIM_FIBER_SWITCH ("fast" | "ucontext"); fast when
-/// unset. Unknown values throw std::invalid_argument. Read at FiberBackend
-/// construction (i.e. per Engine), not cached per process.
-FiberSwitch fiber_switch_from_env();
-
-const char* to_string(FiberSwitch m);
 
 /// Per-process execution state (a fiber stack + context, or an OS thread +
 /// condvar). Owned by the Process; destroyed only once the process is done.

@@ -4,18 +4,18 @@
 // kernel context switch — which removes the dominant wall-clock cost from
 // the simulation hot path.
 //
-// Two swap mechanisms (GDRSHMEM_SIM_FIBER_SWITCH, see exec_backend.hpp):
+// One swap mechanism per platform:
 //
-//   * fast     — gdrshmem_fiber_switch (fiber_switch_x86_64.S): saves the
-//                C-ABI callee-saved registers plus mxcsr/x87cw and swaps
-//                rsp. ~20 instructions, no syscall. A never-started fiber
-//                is entered through a hand-laid boot frame whose return
-//                address is gdrshmem_fiber_boot.
-//   * ucontext — makecontext/swapcontext. Portable reference; glibc's
-//                swapcontext issues an rt_sigprocmask syscall per swap.
+//   * x86-64 — gdrshmem_fiber_switch (fiber_switch_x86_64.S): saves the
+//              C-ABI callee-saved registers plus mxcsr/x87cw and swaps rsp.
+//              ~20 instructions, no syscall. A never-started fiber is
+//              entered through a hand-laid boot frame whose return address
+//              is gdrshmem_fiber_boot.
+//   * others — makecontext/swapcontext (glibc's swapcontext issues an
+//              rt_sigprocmask syscall per swap).
 //
-// Both mechanisms transfer control at exactly the same points, so the
-// event trace — and every simulation result — is bit-identical.
+// Either way control transfers only at the engine's wait points, so the
+// event trace matches the thread backend bit for bit.
 //
 // Exceptions (including ProcessKilled on daemon shutdown) unwind normally
 // through a fiber stack and are contained by ExecutionBackend::run_body
@@ -25,9 +25,7 @@
 // Under AddressSanitizer the stack switches are announced through the
 // __sanitizer_*_switch_fiber API so ASan tracks the live stack bounds;
 // without that, fake-stack bookkeeping misfires across the swap. The
-// annotations are identical for both switch mechanisms.
-#include <ucontext.h>
-
+// annotations are the same on every platform.
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -55,6 +53,11 @@
 
 #if defined(__x86_64__)
 #define GDRSHMEM_FAST_FIBERS 1
+#else
+#include <ucontext.h>
+#endif
+
+#ifdef GDRSHMEM_FAST_FIBERS
 extern "C" {
 /// Save callee-saved state on the current stack, store rsp through
 /// `save_sp`, switch to `restore_sp`, restore and return on the new stack.
@@ -66,31 +69,6 @@ void gdrshmem_fiber_boot();
 #endif
 
 namespace gdrshmem::sim {
-
-FiberSwitch fiber_switch_from_env() {
-  FiberSwitch m = FiberSwitch::kFast;
-  const char* v = std::getenv("GDRSHMEM_SIM_FIBER_SWITCH");
-  if (v != nullptr && *v != '\0') {
-    const std::string s(v);
-    if (s == "fast") {
-      m = FiberSwitch::kFast;
-    } else if (s == "ucontext") {
-      m = FiberSwitch::kUcontext;
-    } else {
-      throw std::invalid_argument(
-          "GDRSHMEM_SIM_FIBER_SWITCH must be 'fast' or 'ucontext', got '" +
-          s + "'");
-    }
-  }
-#ifndef GDRSHMEM_FAST_FIBERS
-  m = FiberSwitch::kUcontext;  // no fast-switch implementation on this arch
-#endif
-  return m;
-}
-
-const char* to_string(FiberSwitch m) {
-  return m == FiberSwitch::kFast ? "fast" : "ucontext";
-}
 
 namespace {
 
@@ -119,9 +97,12 @@ class FiberBackend;
 struct FiberExec final : ProcessExec {
   FiberBackend* owner = nullptr;
   Process* proc = nullptr;
-  ucontext_t ctx{};        ///< ucontext mode only
-  void* fast_sp = nullptr; ///< fast mode: suspended stack pointer / boot frame
-  FiberStack stack{};      ///< guard-paged mapping, leased from the pool
+#ifdef GDRSHMEM_FAST_FIBERS
+  void* sp = nullptr;   ///< suspended stack pointer, or the boot frame
+#else
+  ucontext_t ctx{};
+#endif
+  FiberStack stack{};   ///< guard-paged mapping, leased from the pool
 #ifdef GDRSHMEM_ASAN_FIBERS
   void* fake_stack = nullptr;
 #endif
@@ -146,39 +127,33 @@ class FiberBackend final : public ExecutionBackend {
     ex->stack = FiberStackPool::instance().acquire(fiber_stack_bytes());
 
 #ifdef GDRSHMEM_FAST_FIBERS
-    if (mode_ == FiberSwitch::kFast) {
-      // Lay out the boot frame gdrshmem_fiber_switch will "return" through
-      // on first entry. From the switch's restore sequence upward:
-      //   +0  x87 control word (2B) | pad | mxcsr (4B at +4)
-      //   +8  r15   +16 r14   +24 r13
-      //   +32 r12  <- FiberExec*            (boot shim moves it to rdi)
-      //   +40 rbx  <- &fiber_main           (boot shim jumps here)
-      //   +48 rbp = 0 (frame-chain terminator for unwinders)
-      //   +56 return address <- &gdrshmem_fiber_boot
-      // With `top` 16-aligned and the frame at top-72, fiber_main is entered
-      // with rsp = top-8, i.e. rsp % 16 == 8 — exactly the System V state
-      // after a `call`, so its prologue aligns correctly.
-      auto* top = static_cast<unsigned char*>(ex->stack.stack_lo) +
-                  ex->stack.stack_len;
-      const auto t =
-          reinterpret_cast<std::uintptr_t>(top) & ~std::uintptr_t{15};
-      auto* frame = reinterpret_cast<void**>(t - 72);
-      std::memset(frame, 0, 72);
-      std::uint32_t mxcsr = 0;
-      std::uint16_t fcw = 0;
-      asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
-      std::memcpy(reinterpret_cast<unsigned char*>(frame) + 0, &fcw,
-                  sizeof fcw);
-      std::memcpy(reinterpret_cast<unsigned char*>(frame) + 4, &mxcsr,
-                  sizeof mxcsr);
-      frame[4] = ex.get();
-      frame[5] = reinterpret_cast<void*>(&FiberBackend::fiber_main);
-      frame[7] = reinterpret_cast<void*>(&gdrshmem_fiber_boot);
-      ex->fast_sp = frame;
-      return ex;
-    }
-#endif
-
+    // Lay out the boot frame gdrshmem_fiber_switch will "return" through on
+    // first entry. From the switch's restore sequence upward:
+    //   +0  x87 control word (2B) | pad | mxcsr (4B at +4)
+    //   +8  r15   +16 r14   +24 r13
+    //   +32 r12  <- FiberExec*            (boot shim moves it to rdi)
+    //   +40 rbx  <- &fiber_main           (boot shim jumps here)
+    //   +48 rbp = 0 (frame-chain terminator for unwinders)
+    //   +56 return address <- &gdrshmem_fiber_boot
+    // With `top` 16-aligned and the frame at top-72, fiber_main is entered
+    // with rsp = top-8, i.e. rsp % 16 == 8 — exactly the System V state
+    // after a `call`, so its prologue aligns correctly.
+    auto* top = static_cast<unsigned char*>(ex->stack.stack_lo) +
+                ex->stack.stack_len;
+    const auto t = reinterpret_cast<std::uintptr_t>(top) & ~std::uintptr_t{15};
+    auto* frame = reinterpret_cast<void**>(t - 72);
+    std::memset(frame, 0, 72);
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fcw = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
+    std::memcpy(reinterpret_cast<unsigned char*>(frame) + 0, &fcw, sizeof fcw);
+    std::memcpy(reinterpret_cast<unsigned char*>(frame) + 4, &mxcsr,
+                sizeof mxcsr);
+    frame[4] = ex.get();
+    frame[5] = reinterpret_cast<void*>(&FiberBackend::fiber_main);
+    frame[7] = reinterpret_cast<void*>(&gdrshmem_fiber_boot);
+    ex->sp = frame;
+#else
     if (::getcontext(&ex->ctx) != 0) {
       throw std::system_error(errno, std::generic_category(), "getcontext");
     }
@@ -190,6 +165,7 @@ class FiberBackend final : public ExecutionBackend {
     ::makecontext(&ex->ctx, reinterpret_cast<void (*)()>(&FiberBackend::trampoline),
                   2, static_cast<unsigned>(ptr >> 32),
                   static_cast<unsigned>(ptr & 0xffffffffu));
+#endif
     return ex;
   }
 
@@ -203,11 +179,7 @@ class FiberBackend final : public ExecutionBackend {
                                    fx->stack.stack_len);
 #endif
 #ifdef GDRSHMEM_FAST_FIBERS
-    if (mode_ == FiberSwitch::kFast) {
-      gdrshmem_fiber_switch(&engine_sp_, fx->fast_sp);
-    } else {
-      ::swapcontext(&engine_ctx_, &fx->ctx);
-    }
+    gdrshmem_fiber_switch(&engine_sp_, fx->sp);
 #else
     ::swapcontext(&engine_ctx_, &fx->ctx);
 #endif
@@ -226,7 +198,7 @@ class FiberBackend final : public ExecutionBackend {
 
  private:
   /// Shared fiber body: first-entry bookkeeping, the process body, and the
-  /// final swap. Entered via the boot shim (fast) or trampoline (ucontext).
+  /// final swap. Entered via the boot shim (x86-64) or trampoline (others).
   static void fiber_main(FiberExec* fx) {
     FiberBackend* be = fx->owner;
 #ifdef GDRSHMEM_ASAN_FIBERS
@@ -239,8 +211,8 @@ class FiberBackend final : public ExecutionBackend {
     // Final swap: the fiber is done and will never be resumed again.
     be->switch_to_engine(fx, /*dying=*/true);
     // Resuming a finished fiber would land here and then fall off the end of
-    // the entry function; with uc_link == nullptr ucontext responds with a
-    // silent exit() (and the fast path with a jump through a zeroed frame).
+    // the entry function: a jump through a zeroed frame on x86-64, a silent
+    // exit() elsewhere (ucontext with uc_link == nullptr).
     // Abort unconditionally so such a bug is loud in every build
     // configuration, not just ones with asserts enabled.
     std::fprintf(stderr, "fatal: finished fiber '%s' was resumed\n",
@@ -248,11 +220,13 @@ class FiberBackend final : public ExecutionBackend {
     std::abort();
   }
 
+#ifndef GDRSHMEM_FAST_FIBERS
   static void trampoline(unsigned hi, unsigned lo) {
     fiber_main(reinterpret_cast<FiberExec*>(
         (static_cast<std::uintptr_t>(hi) << 32) |
         static_cast<std::uintptr_t>(lo)));
   }
+#endif
 
   void switch_to_engine(FiberExec* fx, bool dying) {
 #ifdef GDRSHMEM_ASAN_FIBERS
@@ -263,11 +237,7 @@ class FiberBackend final : public ExecutionBackend {
     (void)dying;
 #endif
 #ifdef GDRSHMEM_FAST_FIBERS
-    if (mode_ == FiberSwitch::kFast) {
-      gdrshmem_fiber_switch(&fx->fast_sp, engine_sp_);
-    } else {
-      ::swapcontext(&fx->ctx, &engine_ctx_);
-    }
+    gdrshmem_fiber_switch(&fx->sp, engine_sp_);
 #else
     ::swapcontext(&fx->ctx, &engine_ctx_);
 #endif
@@ -276,9 +246,11 @@ class FiberBackend final : public ExecutionBackend {
 #endif
   }
 
-  const FiberSwitch mode_ = fiber_switch_from_env();
-  ucontext_t engine_ctx_{};
+#ifdef GDRSHMEM_FAST_FIBERS
   void* engine_sp_ = nullptr;
+#else
+  ucontext_t engine_ctx_{};
+#endif
   FiberExec* current_ = nullptr;
 #ifdef GDRSHMEM_ASAN_FIBERS
   void* engine_fake_stack_ = nullptr;

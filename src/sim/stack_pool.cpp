@@ -3,9 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <system_error>
 
 #if defined(__has_feature)
@@ -21,29 +18,6 @@
 #endif
 
 namespace gdrshmem::sim {
-namespace {
-
-std::size_t pool_capacity_from_env() {
-  constexpr std::size_t kDefault = 16384;
-  const char* v = std::getenv("GDRSHMEM_SIM_STACK_POOL");
-  if (v == nullptr || *v == '\0') return kDefault;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 0) {
-    throw std::invalid_argument(
-        "GDRSHMEM_SIM_STACK_POOL must be a non-negative stack count, got '" +
-        std::string(v) + "'");
-  }
-  return static_cast<std::size_t>(n);
-}
-
-void unmap(const FiberStack& s) noexcept {
-  if (s.map_base != nullptr) ::munmap(s.map_base, s.map_len);
-}
-
-}  // namespace
-
-FiberStackPool::FiberStackPool() : capacity_(pool_capacity_from_env()) {}
 
 FiberStackPool& FiberStackPool::instance() {
   static FiberStackPool pool;
@@ -99,44 +73,13 @@ void FiberStackPool::release(const FiberStack& s) noexcept {
 #endif
   {
     std::lock_guard lk(mu_);
-    if (pooled_ < capacity_) {
+    if (pooled_ < kCapacity) {
       free_[s.map_len].push_back(s);
       ++pooled_;
       return;
     }
   }
-  unmap(s);
-}
-
-void FiberStackPool::trim() noexcept {
-  std::lock_guard lk(mu_);
-  for (auto& [len, stacks] : free_) {
-    for (const FiberStack& s : stacks) unmap(s);
-    stacks.clear();
-  }
-  free_.clear();
-  pooled_ = 0;
-}
-
-void FiberStackPool::set_capacity(std::size_t max_pooled) {
-  std::vector<FiberStack> excess;
-  {
-    std::lock_guard lk(mu_);
-    capacity_ = max_pooled;
-    for (auto& [len, stacks] : free_) {
-      while (pooled_ > capacity_ && !stacks.empty()) {
-        excess.push_back(stacks.back());
-        stacks.pop_back();
-        --pooled_;
-      }
-    }
-  }
-  for (const FiberStack& s : excess) unmap(s);
-}
-
-std::size_t FiberStackPool::capacity() const {
-  std::lock_guard lk(mu_);
-  return capacity_;
+  ::munmap(s.map_base, s.map_len);
 }
 
 std::uint64_t FiberStackPool::mapped() const {

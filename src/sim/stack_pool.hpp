@@ -10,9 +10,8 @@
 //
 // Stacks are lazily committed by the kernel on creation, so pooled capacity
 // costs address space plus only the pages a fiber actually touched. The pool
-// is bounded (GDRSHMEM_SIM_STACK_POOL, default 16384 stacks; 0 disables
-// pooling); stacks beyond the bound are munmapped on release, and trim()
-// drops everything pooled.
+// holds at most kCapacity stacks; stacks beyond the bound are munmapped on
+// release.
 #pragma once
 
 #include <cstddef>
@@ -41,16 +40,11 @@ class FiberStackPool {
   /// Throws std::system_error if the kernel refuses the mapping.
   FiberStack acquire(std::size_t stack_bytes);
 
-  /// Return a stack to the pool (or unmap it if the pool is full/disabled).
+  /// Return a stack to the pool (or unmap it if the pool is full).
   void release(const FiberStack& s) noexcept;
 
-  /// Unmap every pooled stack (e.g. to re-baseline an A/B benchmark).
-  void trim() noexcept;
-
-  /// Max stacks retained across all geometries; 0 disables pooling.
-  /// Programmatic override of GDRSHMEM_SIM_STACK_POOL for A/B runs.
-  void set_capacity(std::size_t max_pooled);
-  std::size_t capacity() const;
+  /// Max stacks retained across all geometries: one 16K-PE engine's worth.
+  static constexpr std::size_t kCapacity = 16384;
 
   // Cumulative stats (process lifetime), for tests and the engine bench.
   std::uint64_t mapped() const;  ///< stacks created via mmap
@@ -58,11 +52,10 @@ class FiberStackPool {
   std::size_t pooled() const;    ///< stacks currently in the free list
 
  private:
-  FiberStackPool();
+  FiberStackPool() = default;
 
   mutable std::mutex mu_;
   std::map<std::size_t, std::vector<FiberStack>> free_;  // keyed by map_len
-  std::size_t capacity_;
   std::size_t pooled_ = 0;
   std::uint64_t mapped_ = 0;
   std::uint64_t reused_ = 0;

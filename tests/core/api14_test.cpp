@@ -10,7 +10,9 @@
 #include <fstream>
 #include <iterator>
 #include <regex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -197,14 +199,8 @@ TEST(FromEnv, ParsesAndValidatesKnownKeys) {
   ScopedEnv e5("GDRSHMEM_PIPELINE_CHUNK", "32K");
   ScopedEnv e6("GDRSHMEM_SIM_BACKEND", "threads");
   ScopedEnv e7("GDRSHMEM_FAULTS", "seed=5,wire_error_rate=1e-3,crash=1@250");
-  ScopedEnv e8("GDRSHMEM_SIM_QUEUE", "heap");
-  ScopedEnv e9("GDRSHMEM_SIM_BATCH", "off");
-  ScopedEnv e10("GDRSHMEM_SIM_STACK_POOL", "128");
-  ScopedEnv e11("GDRSHMEM_SIM_FIBER_SWITCH", "ucontext");
   RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_EQ(opts.transport, TransportKind::kHostPipeline);
-  EXPECT_EQ(opts.sim_queue, sim::QueueKind::kHeap);
-  EXPECT_FALSE(opts.sim_batch);
   EXPECT_EQ(opts.host_heap_bytes, 4u << 20);
   EXPECT_EQ(opts.gpu_heap_bytes, 512u << 10);
   EXPECT_FALSE(opts.tuning.use_proxy);
@@ -217,7 +213,8 @@ TEST(FromEnv, ParsesAndValidatesKnownKeys) {
   EXPECT_EQ(opts.faults.crashes[0].node, 1);
 }
 
-// Every key from_env accepts appears as a line of README's env table.
+// README's env table lists exactly the keys from_env accepts: every accepted
+// key has a line, and every line names an accepted key.
 TEST(FromEnv, ReadmeDocumentsEveryAcceptedKey) {
   auto slurp = [](const std::string& path) {
     std::ifstream in(path);
@@ -227,13 +224,22 @@ TEST(FromEnv, ReadmeDocumentsEveryAcceptedKey) {
   const std::string source = slurp(GDRSHMEM_SOURCE_DIR "/src/core/options.cpp");
   const std::string readme = slurp(GDRSHMEM_SOURCE_DIR "/README.md");
   const std::regex accepted(R"re(key == "(GDRSHMEM_[A-Z0-9_]+)")re");
-  int keys = 0;
+  std::set<std::string> keys;
   for (std::sregex_iterator it(source.begin(), source.end(), accepted), end;
-       it != end; ++it, ++keys) {
+       it != end; ++it) {
+    keys.insert((*it)[1].str());
     EXPECT_NE(readme.find("\n" + (*it)[1].str() + "="), std::string::npos)
         << (*it)[1] << " is accepted by from_env but missing from README";
   }
-  EXPECT_GE(keys, 30) << "options.cpp no longer matches the key pattern";
+  EXPECT_GE(keys.size(), 30u) << "options.cpp no longer matches the key pattern";
+  const std::regex documented(R"re(\n(GDRSHMEM_[A-Z0-9_]+)=)re");
+  int rows = 0;
+  for (std::sregex_iterator it(readme.begin(), readme.end(), documented), end;
+       it != end; ++it, ++rows) {
+    EXPECT_TRUE(keys.count((*it)[1].str()))
+        << (*it)[1] << " is in README's env table but from_env rejects it";
+  }
+  EXPECT_GE(rows, 30) << "README no longer matches the env-table pattern";
 }
 
 TEST(FromEnv, UnknownVariableIsAnError) {
@@ -263,18 +269,6 @@ TEST(FromEnv, BadValuesAreErrors) {
     EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
   }
   {
-    ScopedEnv e("GDRSHMEM_SIM_QUEUE", "skiplist");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_SIM_BATCH", "maybe");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_SIM_FIBER_SWITCH", "longjmp");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
     // Units are KiB per fiber; below the 64 KiB floor is an error, as is
     // trailing garbage.
     ScopedEnv e("GDRSHMEM_SIM_STACK_KB", "32");
@@ -282,15 +276,6 @@ TEST(FromEnv, BadValuesAreErrors) {
   }
   {
     ScopedEnv e("GDRSHMEM_SIM_STACK_KB", "256bogus");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    // Units are pooled stacks (a count); negative or non-numeric is an error.
-    ScopedEnv e("GDRSHMEM_SIM_STACK_POOL", "-1");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_SIM_STACK_POOL", "many");
     EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
   }
   {
@@ -308,6 +293,29 @@ TEST(FromEnv, BadValuesAreErrors) {
   {
     ScopedEnv e("GDRSHMEM_TRACE_CAP", "lots");
     EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+}
+
+// The engine's queue, wakeup batching, fiber switch and stack pool are no
+// longer chosen from the environment: a once-valid setting of any of them
+// is refused as an unknown variable rather than silently ignored.
+TEST(FromEnv, RetiredEngineKnobsAreUnknown) {
+  const std::pair<const char*, const char*> retired[] = {
+      {"GDRSHMEM_SIM_QUEUE", "heap"},
+      {"GDRSHMEM_SIM_BATCH", "off"},
+      {"GDRSHMEM_SIM_FIBER_SWITCH", "ucontext"},
+      {"GDRSHMEM_SIM_STACK_POOL", "128"},
+  };
+  for (const auto& [key, value] : retired) {
+    ScopedEnv e(key, value);
+    try {
+      RuntimeOptions::from_env();
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const ShmemError& err) {
+      EXPECT_NE(std::string(err.what()).find("unknown GDRSHMEM_* variable"),
+                std::string::npos)
+          << key << ": " << err.what();
+    }
   }
 }
 

@@ -45,7 +45,7 @@ struct RunResult {
 /// `faults` optionally layers a seeded fault plan (wire errors, a proxy
 /// crash) on top, which exercises retransmits, replays and proxy restarts.
 RunResult run_workload(sim::BackendKind backend,
-                       sim::QueueKind queue = sim::queue_from_env(),
+                       sim::QueueKind queue = sim::QueueKind::kWheel,
                        const char* faults = nullptr) {
   RunResult out;
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);

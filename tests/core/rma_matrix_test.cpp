@@ -4,6 +4,8 @@
 // the paper says the baseline has no path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -206,6 +208,51 @@ TEST(Rma, ManySmallPutsKeepOrderPerTarget) {
                for (std::uint32_t i = 0; i < kN; ++i) EXPECT_EQ(arr[i], i + 1);
              }
            });
+}
+
+// Host-pipeline eager put and eager get crossing between the same two PEs:
+// PE 1 puts to PE 0 while PE 0 gets from PE 1, with either PE given a head
+// start of up to 20 us. Whatever the interleaving, the get must return the
+// bytes it read, never the put's payload.
+TEST(Rma, CrossingEagerPutAndGetKeepTheirBytes) {
+  constexpr std::size_t kBytes = 4096;
+  int wrong = 0;
+  for (int head_ns = -20000; head_ns <= 20000; head_ns += 100) {
+    run_spmd(make_cluster(2, 1), make_options(TransportKind::kHostPipeline),
+             [&](Ctx& ctx) {
+               auto* get_src =
+                   static_cast<std::byte*>(ctx.shmalloc(kBytes, Domain::kGpu));
+               auto* put_dst =
+                   static_cast<std::byte*>(ctx.shmalloc(kBytes, Domain::kGpu));
+               auto* local =
+                   static_cast<std::byte*>(ctx.shmalloc(kBytes, Domain::kGpu));
+               const int me = ctx.my_pe();
+               std::memset(get_src, 0x10 + me, kBytes);
+               std::memset(local, 0x20 + me, kBytes);
+               ctx.barrier_all();
+               if ((head_ns < 0 && me == 0) || (head_ns > 0 && me == 1)) {
+                 ctx.compute(sim::Duration::ns(std::abs(head_ns)));
+               }
+               if (me == 0) {
+                 ctx.getmem(local, get_src, kBytes, 1);
+                 if (std::any_of(local, local + kBytes,
+                                 [](std::byte b) { return b != std::byte{0x11}; })) {
+                   ++wrong;
+                 }
+               } else {
+                 ctx.putmem(put_dst, local, kBytes, 0);
+                 ctx.quiet();
+               }
+               ctx.barrier_all();
+               if (me == 0) {
+                 EXPECT_TRUE(std::all_of(put_dst, put_dst + kBytes,
+                                         [](std::byte b) { return b == std::byte{0x21}; }))
+                     << "head start " << head_ns << " ns";
+               }
+             });
+  }
+  EXPECT_EQ(wrong, 0) << "of 401 head starts, " << wrong
+                      << " returned wrong get data";
 }
 
 TEST(Rma, NaiveTransportHostOnly) {

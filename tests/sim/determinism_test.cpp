@@ -31,7 +31,7 @@ struct RunTrace {
 /// notification that releases all PEs mid-run, a child process spawned from
 /// a running process, and a daemon that ticks forever in the background.
 RunTrace run_workload(BackendKind kind, int pes, int rounds,
-                      QueueKind queue = queue_from_env()) {
+                      QueueKind queue = QueueKind::kWheel) {
   RunTrace out;
   Engine eng(kind, queue);
   std::vector<Mailbox<int>> ring(static_cast<std::size_t>(pes));
@@ -135,25 +135,6 @@ TEST(Determinism, AllFourQueueBackendCombinationsAgree) {
       EXPECT_EQ(ref, t) << to_string(kind) << "/" << to_string(queue);
     }
   }
-}
-
-TEST(Determinism, FastAndUcontextFiberSwitchesProduceIdenticalTraces) {
-  // The fiber backend's context-switch mechanism (raw register swap vs
-  // swapcontext) changes only wall-clock cost; control transfers at the same
-  // points, so the trace must be bit-identical. The mode is read per Engine
-  // construction, so flipping the env between runs is enough.
-  auto run_with_switch = [](const char* mode) {
-    ::setenv("GDRSHMEM_SIM_FIBER_SWITCH", mode, 1);
-    RunTrace t = run_workload(BackendKind::kFibers, 16, 8);
-    ::unsetenv("GDRSHMEM_SIM_FIBER_SWITCH");
-    return t;
-  };
-  RunTrace fast = run_with_switch("fast");
-  RunTrace uctx = run_with_switch("ucontext");
-  EXPECT_EQ(fast, uctx);
-  // And against the thread backend, which has no fiber switch at all.
-  RunTrace threads = run_workload(BackendKind::kThreads, 16, 8);
-  EXPECT_EQ(fast, threads);
 }
 
 TEST(Determinism, WakeupBatchingPreservesTraceOrder) {

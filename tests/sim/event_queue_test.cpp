@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -47,8 +49,13 @@ void expect_identical_drain(const std::vector<EventQueue::Entry>& entries) {
   EXPECT_TRUE(wheel.empty());
 }
 
-TEST(EventQueue, EnvSelection) {
-  EXPECT_EQ(QueueKind::kWheel, queue_from_env());  // unset -> wheel
+TEST(EventQueue, EngineDefaultsToWheel) {
+  // The heap is selected only in code; the environment has no say.
+  ::setenv("GDRSHMEM_SIM_QUEUE", "heap", 1);
+  EXPECT_EQ(QueueKind::kWheel, Engine().queue_kind());
+  ::unsetenv("GDRSHMEM_SIM_QUEUE");
+  const Engine heap(BackendKind::kFibers, QueueKind::kHeap);
+  EXPECT_EQ(QueueKind::kHeap, heap.queue_kind());
   EXPECT_STREQ("heap", to_string(QueueKind::kHeap));
   EXPECT_STREQ("wheel", to_string(QueueKind::kWheel));
 }

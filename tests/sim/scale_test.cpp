@@ -117,28 +117,5 @@ TEST(Scale, StackPoolRecyclesAcrossEngines) {
   EXPECT_GE(pool.pooled(), 64u);
 }
 
-TEST(Scale, StackPoolTrimAndDisable) {
-  FiberStackPool& pool = FiberStackPool::instance();
-  const std::size_t original_cap = pool.capacity();
-  {
-    Engine eng(BackendKind::kFibers);
-    eng.spawn("p", [](Process& p) { p.delay(Duration::ns(1)); });
-    eng.run();
-  }
-  EXPECT_GE(pool.pooled(), 1u);
-  pool.trim();
-  EXPECT_EQ(0u, pool.pooled());
-
-  // capacity 0 disables pooling: stacks are unmapped on release.
-  pool.set_capacity(0);
-  {
-    Engine eng(BackendKind::kFibers);
-    eng.spawn("p", [](Process& p) { p.delay(Duration::ns(1)); });
-    eng.run();
-  }
-  EXPECT_EQ(0u, pool.pooled());
-  pool.set_capacity(original_cap);
-}
-
 }  // namespace
 }  // namespace gdrshmem::sim
