@@ -14,22 +14,25 @@ cmake --build build -j
 # Differential tests pin and compare backends internally; the env-driven
 # tests follow GDRSHMEM_DEVICE_BACKEND, so each pass exercises option
 # parsing end-to-end plus the selected engine as the process-wide default.
+# The fault-injection suite rides along: its recovery paths are the same
+# code as the healthy ones and must hold under either engine.
 for dev_backend in gpu-ib reverse; do
   echo "== device-backend A/B: GDRSHMEM_DEVICE_BACKEND=$dev_backend =="
   (cd build && GDRSHMEM_DEVICE_BACKEND=$dev_backend \
-     ctest --output-on-failure -R 'DeviceApi|Stencil2DDevice')
+     ctest --output-on-failure -R 'DeviceApi|Stencil2DDevice|FaultInjection')
 done
 
 # IB-transport A/B: the byte-exact differential suites run with the
 # process-wide default transport flipped across the RC mesh, the DC pool,
 # and the relaxed-ordering SRD spray, exercising GDRSHMEM_IB_TRANSPORT
 # parsing end-to-end plus every protocol path over the selected QP
-# discipline. (Timing-assertion suites stay on their pinned configs —
-# transports move the clock, never the bytes.)
+# discipline, and so do the fault-recovery suites (replay, reissue and
+# the proxy-crash paths). (Timing-assertion suites stay on their pinned
+# configs — transports move the clock, never the bytes.)
 for ib_transport in rc dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
-     ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes')
+     ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes|FaultInjection|ProxyCrash')
 done
 
 scripts/check_sanitize.sh

@@ -24,13 +24,9 @@ std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
 /// Post a hardware atomic and wait for it. Under a fault plan an error
 /// completion means the request was lost *before* the RMW executed, so
 /// re-posting the identical descriptor is exact (never double-applies).
-void await_atomic(Ctx& ctx, const std::function<sim::CompletionPtr()>& post) {
-  auto comp = post();
-  if (!ctx.runtime().faults_enabled()) {
-    comp->wait(ctx.proc());
-    return;
-  }
-  ctx.await_reliable(ctx.proc(), std::move(comp), post);
+template <typename Post>
+void await_atomic(Ctx& ctx, const Post& post) {
+  ctx.await_reliable(ctx.proc(), post(), post);
 }
 
 }  // namespace

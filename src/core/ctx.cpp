@@ -180,19 +180,13 @@ void Ctx::put_sync(void* dst_sym, const void* src, std::size_t n, int pe) {
 }
 
 void Ctx::quiet() {
-  if (!rt_->faults_enabled()) {
-    // Healthy fabric: completions only ever fire successfully.
-    wait_for([&] {
-      std::erase_if(pending_, [](const PendingOp& p) { return p.comp->done(); });
-      return pending_.empty();
-    });
-  } else {
-    wait_for([&] {
-      recover_pending();
-      std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
-      return pending_.empty();
-    });
-  }
+  // On a healthy fabric nothing ever fails, so recover_pending finds nothing
+  // to replay and ok() is done().
+  wait_for([&] {
+    recover_pending();
+    std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
+    return pending_.empty();
+  });
 }
 
 sim::Duration Ctx::replay_backoff(int replays) const {
@@ -209,37 +203,21 @@ void Ctx::recover_pending() {
       throw ShmemError("pe " + std::to_string(pe_) +
                        ": non-replayable operation failed permanently");
     }
-    if (++p.replays > rt_->tuning().max_sw_replays) {
-      throw ShmemError("pe " + std::to_string(pe_) +
-                       ": operation still failing after " +
-                       std::to_string(rt_->tuning().max_sw_replays) +
-                       " software replays");
-    }
-    proc().delay(replay_backoff(p.replays));
-    rt_->faults().on_event(sim::FaultEvent::kSwReplay, pe_);
+    prepare_replay(proc(), ++p.replays);
     p.comp = p.repost();
   }
 }
 
-sim::CompletionPtr Ctx::await_reliable(
-    sim::Process& worker, sim::CompletionPtr comp,
-    const std::function<sim::CompletionPtr()>& repost) {
-  comp->wait(worker);
-  if (!rt_->faults_enabled()) return comp;
-  int replays = 0;
-  while (comp->failed()) {
-    if (++replays > rt_->tuning().max_sw_replays) {
-      throw ShmemError("pe " + std::to_string(pe_) +
-                       ": operation still failing after " +
-                       std::to_string(rt_->tuning().max_sw_replays) +
-                       " software replays");
-    }
-    worker.delay(replay_backoff(replays));
-    rt_->faults().on_event(sim::FaultEvent::kSwReplay, pe_);
-    comp = repost();
-    comp->wait(worker);
+void Ctx::prepare_replay(sim::Process& worker, int replays) {
+  const int budget = rt_->tuning().max_sw_replays;
+  if (replays > budget) {
+    throw ShmemError("pe " + std::to_string(pe_) +
+                     ": operation still failing after " +
+                     std::to_string(budget) +
+                     " software replays (GDRSHMEM_MAX_SW_REPLAYS)");
   }
-  return comp;
+  worker.delay(replay_backoff(replays));
+  rt_->faults().on_event(sim::FaultEvent::kSwReplay, pe_);
 }
 
 void Ctx::progress() {

@@ -339,10 +339,21 @@ class Ctx {
   }
   /// Block `worker` until `comp` fires successfully; error completions
   /// (fault plans only) are re-posted via `repost` with capped exponential
-  /// backoff. Returns the completion that finally succeeded.
-  sim::CompletionPtr await_reliable(
-      sim::Process& worker, sim::CompletionPtr comp,
-      const std::function<sim::CompletionPtr()>& repost);
+  /// backoff. Returns the completion that finally succeeded. On a healthy
+  /// fabric this is exactly `comp->wait(worker)`: `repost` is never called
+  /// or copied.
+  template <typename Repost>
+  sim::CompletionPtr await_reliable(sim::Process& worker,
+                                    sim::CompletionPtr comp,
+                                    const Repost& repost) {
+    comp->wait(worker);
+    for (int replays = 1; comp->failed(); ++replays) {
+      prepare_replay(worker, replays);
+      comp = repost();
+      comp->wait(worker);
+    }
+    return comp;
+  }
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
   /// Host bounce buffer (registered at init) for staging pipelines.
@@ -376,6 +387,10 @@ class Ctx {
   /// Replay every pending op whose completion surfaced in error state
   /// (fault plans only; called from quiet's predicate).
   void recover_pending();
+  /// Before software replay number `replays` (1-based) of one op: throw
+  /// once the replay budget (Tuning::max_sw_replays) is spent, else back
+  /// off on `worker` and count the replay.
+  void prepare_replay(sim::Process& worker, int replays);
 
   RmaOp make_op(void* remote_sym, void* local, std::size_t n, int pe,
                 bool blocking);

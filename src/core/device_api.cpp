@@ -40,12 +40,10 @@ std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
 // ---------------------------------------------------------------------------
 // DeviceBackend shared machinery (reverse ring + fault-hardened submission)
 
-void DeviceBackend::post_cmd(DeviceCtx& dctx,
-                             const std::shared_ptr<DeviceCmd>& cmd) {
+void DeviceBackend::post_cmd(const std::shared_ptr<DeviceCmd>& cmd) {
   // The descriptor lands in the host ring via one PCIe write the kernel has
   // already been charged for; the proxy daemon polls the ring, so no network
   // send is involved in the hand-off.
-  (void)dctx;
   ProxyDaemon& proxy =
       rt_.proxy(rt_.cluster().placement(cmd->requester).node);
   CtrlMsg m;
@@ -78,42 +76,29 @@ void DeviceBackend::offload(DeviceCtx& dctx, std::shared_ptr<DeviceCmd> cmd) {
       return ring.size() < depth;
     });
   }
-  if (!rt_.faults_enabled()) {
-    post_cmd(dctx, cmd);
-    ring.push_back(cmd->done);
-    if (cmd->rma.blocking) {
-      ctx.wait_for([&] { return cmd->done->done(); });
-    } else {
-      ctx.track(cmd->done);
-    }
-    return;
-  }
-  // Fault plan: the proxy may crash holding our descriptor. Each attempt
-  // uses fresh completion state (a restarted daemon can never complete a
-  // command we already gave up on) and a deadline scaled to the staged
-  // transfer size; timed-out attempts are reissued from scratch up to the
-  // budget. The op becomes effectively blocking — a legal strengthening of
-  // nbi. Puts and gets rewrite the same bytes on reissue (idempotent);
-  // atomics may double-apply if the proxy crashes after executing the RMW
-  // but before the completion notification — see DESIGN.md.
+  // Under a fault plan the proxy may crash holding our descriptor: each
+  // attempt waits against a deadline scaled to the staged transfer size, and
+  // a timed-out attempt is reissued with fresh completion state (a restarted
+  // daemon can never complete a command we already gave up on). The op then
+  // is effectively blocking — a legal strengthening of nbi. Puts and gets
+  // rewrite the same bytes on reissue (idempotent); atomics may double-apply
+  // if the proxy crashes after executing the RMW but before the completion
+  // notification — see DESIGN.md.
   const Duration timeout = Duration::us(
       rt_.tuning().proxy_timeout_us *
       (2.0 + static_cast<double>(cmd->rma.bytes) /
                  static_cast<double>(rt_.tuning().pipeline_chunk)));
-  int reissues = 0;
-  while (true) {
-    auto attempt = std::make_shared<DeviceCmd>(*cmd);
-    attempt->done = std::make_shared<sim::Completion>();
-    post_cmd(dctx, attempt);
-    if (ctx.wait_for_deadline([&] { return attempt->done->done(); },
-                              ctx.now() + timeout)) {
-      return;
+  std::shared_ptr<DeviceCmd> sent = cmd;
+  detail::reissue_until_done(ctx, "device offload", [&] {
+    post_cmd(sent);
+    if (detail::await_proxied(ctx, sent->done, cmd->rma.blocking, timeout)) {
+      return true;
     }
-    if (++reissues > rt_.tuning().proxy_max_reissues) {
-      throw ShmemError("device offload: reissue budget exhausted");
-    }
-    rt_.faults().on_event(sim::FaultEvent::kProxyReissue, me);
-  }
+    sent = std::make_shared<DeviceCmd>(*cmd);
+    sent->done = std::make_shared<sim::Completion>();
+    return false;
+  });
+  ring.push_back(sent->done);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,14 +212,9 @@ class GpuIbBackend final : public DeviceBackend {
       }
       return rt_.endpoint(me).atomic_fadd64(ctx.proc(), pe, word, a, &old);
     };
-    auto comp = post();
-    if (rt_.faults_enabled()) {
-      // An error completion means the request was lost before the RMW
-      // executed (see atomics.cpp), so re-posting is exact.
-      ctx.await_reliable(ctx.proc(), std::move(comp), post);
-    } else {
-      comp->wait(ctx.proc());
-    }
+    // An error completion means the request was lost before the RMW
+    // executed (see atomics.cpp), so re-posting is exact.
+    ctx.await_reliable(ctx.proc(), post(), post);
     return static_cast<std::int64_t>(old);
   }
 };

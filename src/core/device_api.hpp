@@ -88,7 +88,7 @@ class DeviceBackend {
   void offload(DeviceCtx& dctx, std::shared_ptr<DeviceCmd> cmd);
 
   /// The descriptor write itself (PCIe MMIO into the host ring).
-  void post_cmd(DeviceCtx& dctx, const std::shared_ptr<DeviceCmd>& cmd);
+  void post_cmd(const std::shared_ptr<DeviceCmd>& cmd);
 
   /// Shared quiet: charge the device-side completion poll, drain the host
   /// pending set, reap finished ring slots.

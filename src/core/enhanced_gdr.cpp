@@ -126,55 +126,24 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // (GDR-poor targets never reach here: the selector diverts them to
   // kStagedProxyPut or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
-  const int me = ctx.my_pe();
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
   std::byte* bounce = ctx.bounce(2 * chunk);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
-  auto* local_bytes = static_cast<const std::byte*>(op.local);
-  auto* remote_bytes = static_cast<std::byte*>(op.remote);
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      // The staging slot is about to be overwritten: its previous chunk must
-      // be remotely complete first. Under a fault plan that means replaying
-      // error completions *now*, while the slot still holds the chunk.
-      if (faulty) {
-        slot_comp[s] =
-            ctx.await_reliable(ctx.proc(), std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(ctx.proc());
-      }
-    }
-    rt_.cuda().memcpy_sync(ctx.proc(), bounce + s * chunk, local_bytes + off, c);
-    auto post = [this, &ctx, me, bounce, s, chunk, target = op.target_pe,
-                 remote_bytes, off, c] {
-      return rt_.ib().rdma_write(ctx.proc(), me, bounce + s * chunk, target,
-                                    remote_bytes + off, c);
-    };
-    auto comp = post();
-    slot_comp[s] = comp;
-    if (faulty) {
-      slot_repost[s] = std::move(post);
-    } else {
-      ctx.track(std::move(comp));
-    }
-  }
-  if (faulty) {
-    // Drain both slots reliably before returning: once we return, the bounce
-    // buffer may be reused and the repost closures would replay stale bytes.
-    // A legal strengthening of the put's completion semantics.
-    for (std::size_t s = 0; s < 2; ++s) {
-      if (slot_comp[s]) {
-        ctx.track(ctx.await_reliable(ctx.proc(), std::move(slot_comp[s]),
-                                     slot_repost[s]));
-      }
-    }
-  }
+  detail::StagingSlots slots = detail::staged_write(
+      ctx, ctx.proc(), ctx.my_pe(), bounce, chunk,
+      static_cast<const std::byte*>(op.local), op.target_pe,
+      static_cast<std::byte*>(op.remote), op.bytes);
   // Paper semantics: the put returns once the last IPC cudaMemcpy completes
-  // and the RDMA is posted — the source buffer is already copied out.
+  // and the RDMA is posted — the source buffer is already copied out, and
+  // quiet waits for the chunks still in flight. Under a fault plan both
+  // slots are drained reliably first: once we return, the bounce buffer may
+  // be reused and a replay would send stale bytes. A legal strengthening of
+  // the put's completion semantics.
+  for (std::size_t s = 0; s < 2; ++s) {
+    sim::CompletionPtr comp = rt_.faults_enabled()
+                                  ? slots.drain(ctx, ctx.proc(), s)
+                                  : slots.comp[s];
+    if (comp) ctx.track(std::move(comp));
+  }
 }
 
 void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
@@ -191,17 +160,13 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
     std::size_t c = std::min(chunk, op.bytes - off);
     std::size_t s = (off / chunk) % 2;
     if (h2d[s]) h2d[s]->synchronize(ctx.proc());  // staging slot reusable
+    // Reads are idempotent into the staging slot: replay in place.
     auto post = [this, &ctx, me, bounce, s, chunk, target = op.target_pe,
                  remote_bytes, off, c] {
       return rt_.ib().rdma_read(ctx.proc(), me, bounce + s * chunk, target,
                                    remote_bytes + off, c);
     };
-    if (rt_.faults_enabled()) {
-      // Reads are idempotent into the staging slot: replay in place.
-      ctx.await_reliable(ctx.proc(), post(), post);
-    } else {
-      post()->wait(ctx.proc());
-    }
+    ctx.await_reliable(ctx.proc(), post(), post);
     h2d[s] = rt_.cuda().memcpy_async(local_bytes + off, bounce + s * chunk, c,
                                      ctx.stream());
   }
@@ -210,187 +175,102 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   }
 }
 
+// Proxy exchanges. Each attempt uses fresh transfer state, so a restarted
+// proxy never consumes a stale notification into a new transfer. On a
+// healthy fabric the single attempt waits plainly; under a fault plan the
+// proxy may crash mid-transfer, so every stage has a deadline and a
+// timed-out attempt is reissued from scratch (detail::reissue_until_done).
+
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
                                      const void* host_src) {
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
-  if (rt_.faults_enabled()) {
-    // Under a fault plan the proxy may crash mid-transfer. Each attempt uses
-    // fresh transfer state (so a restarted proxy never consumes a stale
-    // window notification into the new transfer) and a per-stage deadline;
-    // a timed-out attempt is reissued from scratch, up to the budget. The
-    // op becomes effectively blocking — a legal strengthening of nbi.
-    int reissues = 0;
-    while (!attempt_proxy_put(ctx, op, host_src)) {
-      if (++reissues > rt_.tuning().proxy_max_reissues) {
-        throw ShmemError("proxy put: reissue budget exhausted");
-      }
-      rt_.faults().on_event(sim::FaultEvent::kProxyReissue, ctx.my_pe());
-    }
-    return;
-  }
-  const int me = ctx.my_pe();
-  Runtime& rt = rt_;
-  ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-
-  auto st = std::make_shared<ProxyPutState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyPutReq;
-  req.from = me;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  ctx.wait_for([&] { return st->cts.done(); });
-
-  auto* src_bytes = static_cast<const std::byte*>(host_src);
-  const std::size_t window = st->window;
-  for (std::size_t off = 0; off < op.bytes; off += window) {
-    std::size_t w = std::min(window, op.bytes - off);
-    if (off > 0) {
-      // Wait until the proxy drained the previous window out of staging.
-      std::uint64_t need = off / window;
-      ctx.wait_for([&] { return st->windows_done >= need; });
-    }
-    auto data = rt_.ib().rdma_write(ctx.proc(), me, src_bytes + off,
-                                       proxy.endpoint(), st->staging, w);
-    if (rt_.ib().in_order_delivery()) {
-      ctx.track(std::move(data));
-    } else {
-      // Relaxed ordering (srd): the fin below must not overtake the staging
-      // write — the proxy drains staging on fin receipt — so wait for the
-      // window's data before announcing it.
-      data->wait(ctx.proc());
-    }
-    CtrlMsg fin;
-    fin.kind = CtrlMsg::Kind::kProxyPutFin;
-    fin.from = me;
-    fin.remote = op.remote;
-    fin.bytes = w;
-    fin.offset = off;
-    fin.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
-                          [&proxy, fin] { proxy.mailbox().post(fin); });
-  }
-  (void)rt;
-  ctx.track(st->done);
-  if (op.blocking) ctx.wait_for([&] { return st->done->done(); });
-}
-
-bool EnhancedGdrTransport::attempt_proxy_put(Ctx& ctx, const RmaOp& op,
-                                             const void* host_src) {
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
-
-  auto st = std::make_shared<ProxyPutState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyPutReq;
-  req.from = me;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
-                             ctx.now() + timeout)) {
-    return false;
-  }
-
+  // host_src stays valid across attempts and replays (user buffer or
+  // whole-message bounce).
   auto* src_bytes = static_cast<const std::byte*>(host_src);
-  const std::size_t window = st->window;
-  for (std::size_t off = 0; off < op.bytes; off += window) {
-    std::size_t w = std::min(window, op.bytes - off);
-    if (off > 0) {
-      std::uint64_t need = off / window;
-      if (!ctx.wait_for_deadline([&] { return st->windows_done >= need; },
-                                 ctx.now() + timeout)) {
+  detail::reissue_until_done(ctx, "proxy put", [&] {
+    auto st = std::make_shared<ProxyPutState>();
+    st->requester = me;
+    CtrlMsg req;
+    req.kind = CtrlMsg::Kind::kProxyPutReq;
+    req.from = me;
+    req.remote = op.remote;
+    req.bytes = op.bytes;
+    req.state = st;
+    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
+                          [&proxy, req] { proxy.mailbox().post(req); });
+    if (!detail::await_stage(ctx, [&] { return st->cts.done(); }, timeout)) {
+      return false;
+    }
+    const std::size_t window = st->window;
+    for (std::size_t off = 0; off < op.bytes; off += window) {
+      std::size_t w = std::min(window, op.bytes - off);
+      // Wait until the proxy drained the previous window out of staging.
+      const std::uint64_t need = off / window;
+      if (off > 0 &&
+          !detail::await_stage(
+              ctx, [&] { return st->windows_done >= need; }, timeout)) {
         return false;
       }
+      auto post = [this, &ctx, me, &proxy, from = src_bytes + off,
+                   to = st->staging, w] {
+        return rt_.ib().rdma_write(ctx.proc(), me, from, proxy.endpoint(), to,
+                                      w);
+      };
+      auto data = post();
+      if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
+        // The proxy drains staging on fin receipt, so the window's bytes
+        // must be there before the fin is sent: on srd the fin could
+        // overtake the write, and under a fault plan a replayed write could
+        // land after the drain.
+        ctx.await_reliable(ctx.proc(), std::move(data), post);
+      } else {
+        ctx.track(std::move(data));  // FIFO wire: the fin follows the data
+      }
+      CtrlMsg fin;
+      fin.kind = CtrlMsg::Kind::kProxyPutFin;
+      fin.from = me;
+      fin.remote = op.remote;
+      fin.bytes = w;
+      fin.offset = off;
+      fin.state = st;
+      rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
+                            [&proxy, fin] { proxy.mailbox().post(fin); });
     }
-    // The window's bytes must be in proxy staging before the notification is
-    // sent: a tier-2 replay of the data write could otherwise land *after*
-    // the proxy's H->D copy drained the window. host_src stays valid across
-    // replays (user buffer or whole-message bounce).
-    auto post = [this, &ctx, me, src_bytes, off, &proxy, st, w] {
-      return rt_.ib().rdma_write(ctx.proc(), me, src_bytes + off,
-                                    proxy.endpoint(), st->staging, w);
-    };
-    ctx.await_reliable(ctx.proc(), post(), post);
-    CtrlMsg fin;
-    fin.kind = CtrlMsg::Kind::kProxyPutFin;
-    fin.from = me;
-    fin.remote = op.remote;
-    fin.bytes = w;
-    fin.offset = off;
-    fin.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
-                          [&proxy, fin] { proxy.mailbox().post(fin); });
-  }
-  return ctx.wait_for_deadline([&] { return st->done->done(); },
-                               ctx.now() + timeout);
-}
-
-bool EnhancedGdrTransport::attempt_proxy_get(Ctx& ctx, const RmaOp& op) {
-  const int me = ctx.my_pe();
-  ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-
-  auto st = std::make_shared<ProxyGetState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyGet;
-  req.from = me;
-  req.local = op.local;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  // One stage: the proxy streams straight into our destination buffer and
-  // fires done. A replayed attempt rewrites the same bytes — idempotent.
-  return ctx.wait_for_deadline(
-      [&] { return st->done->done(); },
-      ctx.now() + sim::Duration::us(rt_.tuning().proxy_timeout_us));
+    return detail::await_proxied(ctx, st->done, op.blocking, timeout);
+  });
 }
 
 void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kProxyGet, op.bytes);
-  if (rt_.faults_enabled()) {
-    int reissues = 0;
-    while (!attempt_proxy_get(ctx, op)) {
-      if (++reissues > rt_.tuning().proxy_max_reissues) {
-        throw ShmemError("proxy get: reissue budget exhausted");
-      }
-      rt_.faults().on_event(sim::FaultEvent::kProxyReissue, ctx.my_pe());
-    }
-    return;
-  }
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  // The proxy RDMA-writes straight into our destination buffer: it must be
-  // registered under our endpoint (registration cache softens the cost).
-  rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-
-  auto st = std::make_shared<ProxyGetState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyGet;
-  req.from = me;
-  req.local = op.local;    // our destination buffer
-  req.remote = op.remote;  // device range on the proxy's node
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  if (op.blocking) {
-    ctx.wait_for([&] { return st->done->done(); });
-  } else {
-    ctx.track(st->done);
-  }
+  detail::reissue_until_done(ctx, "proxy get", [&] {
+    // The proxy RDMA-writes straight into our destination buffer: it must
+    // be registered under our endpoint (registration cache softens the
+    // cost).
+    rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local,
+                                            op.bytes);
+    auto st = std::make_shared<ProxyGetState>();
+    st->requester = me;
+    CtrlMsg req;
+    req.kind = CtrlMsg::Kind::kProxyGet;
+    req.from = me;
+    req.local = op.local;    // our destination buffer
+    req.remote = op.remote;  // device range on the proxy's node
+    req.bytes = op.bytes;
+    req.state = st;
+    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
+                          [&proxy, req] { proxy.mailbox().post(req); });
+    // One stage: the proxy streams straight into our destination buffer and
+    // fires done. A reissued attempt rewrites the same bytes — idempotent.
+    return detail::await_proxied(
+        ctx, st->done, op.blocking,
+        sim::Duration::us(rt_.tuning().proxy_timeout_us));
+  });
 }
 
 }  // namespace gdrshmem::core

@@ -4,6 +4,7 @@
 #include "core/device_api.hpp"
 #include "core/protocol_selector.hpp"
 #include "core/runtime.hpp"
+#include "core/transport_util.hpp"
 
 namespace gdrshmem::core {
 
@@ -104,59 +105,26 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   ++gets_served_;
   auto st = std::static_pointer_cast<ProxyGetState>(msg.state);
   const int requester = msg.from;
-  const bool faulty = rt_.faults_enabled();
+  Ctx& rctx = rt_.ctx(requester);
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, msg.bytes));
-  auto* src = static_cast<const std::byte*>(msg.remote);
-  auto* dst = static_cast<std::byte*>(msg.local);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
-  for (std::size_t off = 0; off < msg.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, msg.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      // Replay error completions while the slot still holds the chunk
-      // (fault plans only; the repost closure reads the staging slot).
-      if (faulty) {
-        slot_comp[s] = rt_.ctx(requester).await_reliable(
-            self, std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(self);
-      }
-    }
-    rt_.cuda().memcpy_sync(self, staging_.data() + s * chunk, src + off, c);
-    auto post = [this, &self, requester, s, chunk, dst, off, c] {
-      return rt_.ib().rdma_write(self, endpoint(),
-                                    staging_.data() + s * chunk, requester,
-                                    dst + off, c);
-    };
-    slot_comp[s] = post();
-    if (faulty) slot_repost[s] = std::move(post);
-  }
-  if (faulty) {
-    // Drain both slots reliably: done must not fire before every chunk
-    // actually landed in the requester's buffer.
-    for (std::size_t s = 0; s < 2; ++s) {
-      if (!slot_comp[s]) continue;
-      rt_.ctx(requester).await_reliable(self, std::move(slot_comp[s]),
-                                        slot_repost[s]);
-    }
+  detail::StagingSlots slots = detail::staged_write(
+      rctx, self, endpoint(), staging_.data(), chunk,
+      static_cast<const std::byte*>(msg.remote), requester,
+      static_cast<std::byte*>(msg.local), msg.bytes);
+  if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
+    // done must not fire before every chunk landed in the requester's
+    // buffer: on srd an earlier chunk can still be in flight when the later
+    // one completes, and under a fault plan either may need a replay.
+    for (std::size_t s = 0; s < 2; ++s) slots.drain(rctx, self, s);
   } else if (msg.bytes > 0) {
-    if (rt_.ib().in_order_delivery()) {
-      // FIFO wire: the other slot's chunk was posted earlier to the same
-      // peer, so the last chunk's completion implies it landed.
-      std::size_t last_slot = ((msg.bytes + chunk - 1) / chunk - 1) % 2;
-      if (slot_comp[last_slot]) slot_comp[last_slot]->wait(self);
-    } else {
-      // Relaxed ordering (srd): an earlier chunk can still be in flight
-      // when the later one completes; done must wait for both slots.
-      for (auto& comp : slot_comp) {
-        if (comp) comp->wait(self);
-      }
-    }
+    // FIFO wire: the other slot's chunk was posted earlier to the same
+    // peer, so the last chunk's completion implies it landed.
+    std::size_t last_slot = ((msg.bytes + chunk - 1) / chunk - 1) % 2;
+    slots.comp[last_slot]->wait(self);
   }
   Runtime& rt = rt_;
   rt_.ib().post_send(self, endpoint(), requester, 0, [st, &rt, requester] {
@@ -231,7 +199,6 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   const int requester = cmd->requester;
   Ctx& rctx = rt_.ctx(requester);
   Runtime& rt = rt_;
-  const bool faulty = rt_.faults_enabled();
   const RmaOp& op = cmd->rma;
 
   switch (cmd->op) {
@@ -249,12 +216,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
                                           cmd->amo_word, cmd->amo_a,
                                           cmd->amo_b, result);
       };
-      auto comp = post();
-      if (faulty) {
-        rctx.await_reliable(self, std::move(comp), post);
-      } else {
-        comp->wait(self);
-      }
+      rctx.await_reliable(self, post(), post);
       break;
     }
     case DeviceCmd::Op::kPut:
@@ -286,12 +248,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
           return rt_.ib().rdma_write(self, requester, op.local,
                                         op.target_pe, op.remote, op.bytes);
         };
-        auto comp = post();
-        if (faulty) {
-          rctx.await_reliable(self, std::move(comp), post);
-        } else {
-          comp->wait(self);
-        }
+        rctx.await_reliable(self, post(), post);
       } else if (is_get) {
         staged_device_get(self, rctx, op);
       } else {
@@ -315,47 +272,19 @@ void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
   // heap into our staging, RDMA-write each chunk out — the do_get pipeline
   // shape, running at the *source* node. The final write lands directly in
   // the target heap (a GDR leg when the target is GPU-resident).
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
   rctx.count_protocol(Protocol::kProxyPut, op.bytes);
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, op.bytes));
-  auto* src = static_cast<const std::byte*>(op.local);
-  auto* dst = static_cast<std::byte*>(op.remote);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      if (faulty) {
-        slot_comp[s] =
-            rctx.await_reliable(self, std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(self);
-      }
-    }
-    rt_.cuda().memcpy_sync(self, staging_.data() + s * chunk, src + off, c);
-    auto post = [this, &self, s, chunk, target = op.target_pe, dst, off, c] {
-      return rt_.ib().rdma_write(self, endpoint(),
-                                    staging_.data() + s * chunk, target,
-                                    dst + off, c);
-    };
-    slot_comp[s] = post();
-    if (faulty) slot_repost[s] = std::move(post);
-  }
+  detail::StagingSlots slots = detail::staged_write(
+      rctx, self, endpoint(), staging_.data(), chunk,
+      static_cast<const std::byte*>(op.local), op.target_pe,
+      static_cast<std::byte*>(op.remote), op.bytes);
   // Drain both slots before signalling completion: done must imply every
   // byte is at its final destination.
-  for (std::size_t s = 0; s < 2; ++s) {
-    if (!slot_comp[s]) continue;
-    if (faulty) {
-      rctx.await_reliable(self, std::move(slot_comp[s]), slot_repost[s]);
-    } else {
-      slot_comp[s]->wait(self);
-    }
-  }
+  for (std::size_t s = 0; s < 2; ++s) slots.drain(rctx, self, s);
 }
 
 void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
@@ -364,7 +293,6 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   // H->D IPC them into the requester's buffer. Reads into staging are
   // idempotent, so fault replays re-post in place.
   const int requester = rctx.my_pe();
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size());
   rctx.count_protocol(Protocol::kProxyGet, op.bytes);
@@ -379,12 +307,7 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
       return rt_.ib().rdma_read(self, endpoint(), staging_.data(), target,
                                    src + off, c);
     };
-    auto comp = post();
-    if (faulty) {
-      rctx.await_reliable(self, std::move(comp), post);
-    } else {
-      comp->wait(self);
-    }
+    rctx.await_reliable(self, post(), post);
     rt_.cuda().memcpy_sync(self, dst + off, staging_.data(), c);
   }
   rt_.notify_pe(requester);

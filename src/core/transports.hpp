@@ -101,12 +101,6 @@ class EnhancedGdrTransport final : public Transport {
   void proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
   void proxy_get(Ctx& ctx, const RmaOp& op);
 
-  /// One full proxy-put / proxy-get exchange under a fault plan; false means
-  /// a stage timed out (proxy crashed mid-transfer) and the caller should
-  /// reissue with fresh transfer state.
-  bool attempt_proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
-  bool attempt_proxy_get(Ctx& ctx, const RmaOp& op);
-
   /// Record a gdr-fallback event when a device leg of `op`, issued by
   /// `issuer`, sits on a node whose P2P capability has been revoked (fault
   /// plans only).
