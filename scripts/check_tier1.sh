@@ -27,13 +27,22 @@ done
 # and the relaxed-ordering SRD spray, exercising GDRSHMEM_IB_TRANSPORT
 # parsing end-to-end plus every protocol path over the selected QP
 # discipline, and so do the fault-recovery suites (replay, reissue and
-# the proxy-crash paths). (Timing-assertion suites stay on their pinned
-# configs — transports move the clock, never the bytes.)
+# the proxy-crash paths) and the staging suites (staged puts keep their
+# bytes, sources are reusable, each payload byte is copied once).
+# (Timing-assertion suites stay on their pinned configs — transports move
+# the clock, never the bytes.)
+staging_suites='StagingClobber|SourceReuse|FunctionalCopy'
 for ib_transport in rc dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
-     ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes|FaultInjection|ProxyCrash')
+     ctest --output-on-failure \
+       -R "TransportDiff|Fuzz|OddSizes|FaultInjection|ProxyCrash|$staging_suites")
 done
+# Striping offsets each write's payload exactly as its source leg: run the
+# staging suites once with every large write split across two rails.
+echo "== ib-rails: GDRSHMEM_IB_RAILS=2 =="
+(cd build && GDRSHMEM_IB_RAILS=2 \
+   ctest --output-on-failure -R "$staging_suites")
 
 scripts/check_sanitize.sh
 

@@ -253,6 +253,17 @@ std::pair<std::byte*, sim::CompletionPtr*> Ctx::inline_slot() {
   return {p, &comp};
 }
 
+std::pair<std::byte*, sim::CompletionPtr*> Ctx::snapshot(std::size_t bytes) {
+  auto it = std::find_if(snapshots_.begin(), snapshots_.end(),
+                         [](const Snapshot& s) {
+                           return !s.comp || s.comp->done();
+                         });
+  if (it == snapshots_.end()) it = snapshots_.emplace(snapshots_.end());
+  it->comp = nullptr;
+  if (it->bytes.size() < bytes) it->bytes.resize(bytes);
+  return {it->bytes.data(), &it->comp};
+}
+
 // ---------------------------------------------------------------------------
 // CUDA-side helpers
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -357,6 +358,7 @@ class Ctx {
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
   /// Host bounce buffer (registered at init) for staging pipelines.
+  /// Write-side staging only charges it; its bytes never travel.
   std::byte* bounce(std::size_t min_bytes);
   /// Replace `buf` with a fresh zeroed mapping of `bytes`, dropping the old
   /// buffer's registration before it is unmapped and registering the new
@@ -367,6 +369,11 @@ class Ctx {
   /// completion entry to fill); recycles a small ring, waiting when the
   /// oldest slot is still in flight.
   std::pair<std::byte*, sim::CompletionPtr*> inline_slot();
+  /// Storage of `bytes` for one chunk a blocking staged put leaves in
+  /// flight, so the caller's source is reusable once the put returns. The
+  /// caller stores the chunk's write completion through the second member;
+  /// the buffer is recycled once that fires. Never waits: a busy pool grows.
+  std::pair<std::byte*, sim::CompletionPtr*> snapshot(std::size_t bytes);
   cudart::Stream& stream() { return stream_; }
 
  private:
@@ -408,6 +415,13 @@ class Ctx {
   std::vector<std::byte> inline_ring_;
   std::vector<sim::CompletionPtr> inline_comps_;
   std::size_t inline_next_ = 0;
+  /// snapshot()'s pool; a list keeps the completion slots it hands out
+  /// stable while it grows, and costs nothing until a blocking staged put.
+  struct Snapshot {
+    std::vector<std::byte> bytes;
+    sim::CompletionPtr comp;  // the write reading `bytes`; free once fired
+  };
+  std::list<Snapshot> snapshots_;
   cudart::Stream stream_;
 
   /// Record the just-finished blocking op's latency in the metrics registry

@@ -60,13 +60,15 @@ void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
     case PathChoice::kStagedProxyPut: {
       // Both ends bottlenecked (or the target's P2P was revoked): stage the
       // whole message to host locally, let the target-side proxy do the last
-      // hop with an IPC copy.
+      // hop with an IPC copy. The staging copy is charged only: the window
+      // writes carry the user source, which stays untouched until the put
+      // completes (blocking) or quiet returns (nbi).
       std::byte* b = ctx.bounce(op.bytes);
-      rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
-      return proxy_put(ctx, op, b);
+      rt_.cuda().charge_copy_sync(ctx.proc(), b, op.local, op.bytes);
+      return proxy_put(ctx, op, b, op.local);
     }
     case PathChoice::kProxyPut:
-      return proxy_put(ctx, op, op.local);
+      return proxy_put(ctx, op, op.local, op.local);
     default:
       throw ShmemError("enhanced-gdr: unreachable put path");
   }
@@ -128,16 +130,19 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
   std::byte* bounce = ctx.bounce(2 * chunk);
+  // Paper semantics: the put returns once the last IPC cudaMemcpy completes
+  // and the RDMA is posted, and quiet waits for the chunks still in flight.
+  // A blocking put's source is reusable on return, so on a healthy fabric
+  // its in-flight chunks travel from snapshots; an nbi source stays
+  // untouched until quiet.
   detail::StagingSlots slots = detail::staged_write(
       ctx, ctx.proc(), ctx.my_pe(), bounce, chunk,
       static_cast<const std::byte*>(op.local), op.target_pe,
-      static_cast<std::byte*>(op.remote), op.bytes);
-  // Paper semantics: the put returns once the last IPC cudaMemcpy completes
-  // and the RDMA is posted — the source buffer is already copied out, and
-  // quiet waits for the chunks still in flight. Under a fault plan both
-  // slots are drained reliably first: once we return, the bounce buffer may
-  // be reused and a replay would send stale bytes. A legal strengthening of
-  // the put's completion semantics.
+      static_cast<std::byte*>(op.remote), op.bytes,
+      /*snapshot=*/op.blocking && !rt_.faults_enabled());
+  // Under a fault plan both slots are drained reliably first: once we
+  // return the caller may reuse the source, and a replay re-reads it. A
+  // legal strengthening of the put's completion semantics.
   for (std::size_t s = 0; s < 2; ++s) {
     sim::CompletionPtr comp = rt_.faults_enabled()
                                   ? slots.drain(ctx, ctx.proc(), s)
@@ -182,15 +187,18 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
 // timed-out attempt is reissued from scratch (detail::reissue_until_done).
 
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
-                                     const void* host_src) {
+                                     const void* host_src,
+                                     const void* payload) {
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
-  // host_src stays valid across attempts and replays (user buffer or
-  // whole-message bounce).
+  // host_src (user buffer or whole-message bounce) is each window write's
+  // charged source; payload (the user buffer) is what lands. Both stay valid
+  // across attempts and replays.
   auto* src_bytes = static_cast<const std::byte*>(host_src);
+  auto* payload_bytes = static_cast<const std::byte*>(payload);
   detail::reissue_until_done(ctx, "proxy put", [&] {
     auto st = std::make_shared<ProxyPutState>();
     st->requester = me;
@@ -216,9 +224,9 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
         return false;
       }
       auto post = [this, &ctx, me, &proxy, from = src_bytes + off,
-                   to = st->staging, w] {
+                   bytes = payload_bytes + off, to = st->staging, w] {
         return rt_.ib().rdma_write(ctx.proc(), me, from, proxy.endpoint(), to,
-                                      w);
+                                   w, bytes);
       };
       auto data = post();
       if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {

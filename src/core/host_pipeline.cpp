@@ -167,7 +167,7 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 
   std::byte* rx = eager_buffer(dst, me, Dir::kRx);
   auto data_post = [this, &ctx, me, tx, dst, rx, bytes = op.bytes] {
-    return rt_.ib().rdma_write(ctx.proc(), me, tx, dst, rx, bytes);
+    return rt_.endpoint(me).rdma_write(ctx.proc(), tx, dst, rx, bytes);
   };
   if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
     // The payload must be in the remote eager buffer before the
@@ -243,7 +243,7 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   auto data_post = [this, &worker, me, tx, requester,
                     rx = eager_buffer(requester, me, Dir::kReplyRx),
                     bytes = msg.bytes] {
-    return rt_.ib().rdma_write(worker, me, tx, requester, rx, bytes);
+    return rt_.endpoint(me).rdma_write(worker, tx, requester, rx, bytes);
   };
   // Same data-before-notification requirement as eager_put: also needed
   // fault-free on a relaxed-ordering transport.
@@ -332,8 +332,8 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
       buf = local_bytes + off;
     }
     auto data_post = [this, &ctx, me, buf, dst, st, off, c] {
-      return rt_.ib().rdma_write(ctx.proc(), me, buf, dst, st->staging + off,
-                                    c);
+      return rt_.endpoint(me).rdma_write(ctx.proc(), buf, dst,
+                                         st->staging + off, c);
     };
     if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
       // Chunk bytes must be in target staging before the chunk notification
@@ -490,8 +490,8 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
       buf = src_bytes + off;
     }
     auto data_post = [this, &worker, me, buf, requester, st, off, c] {
-      return rt_.ib().rdma_write(worker, me, buf, requester,
-                                    st->staging + off, c);
+      return rt_.endpoint(me).rdma_write(worker, buf, requester,
+                                         st->staging + off, c);
     };
     if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
       ctx.await_reliable(worker, data_post(), data_post);

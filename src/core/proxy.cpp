@@ -245,8 +245,9 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
             return rt_.ib().rdma_read(self, requester, op.local,
                                          op.target_pe, op.remote, op.bytes);
           }
-          return rt_.ib().rdma_write(self, requester, op.local,
-                                        op.target_pe, op.remote, op.bytes);
+          return rt_.endpoint(requester).rdma_write(self, op.local,
+                                                    op.target_pe, op.remote,
+                                                    op.bytes);
         };
         rctx.await_reliable(self, post(), post);
       } else if (is_get) {

@@ -20,6 +20,8 @@ std::string format_report(Runtime& rt) {
   os << "virtual time: " << std::fixed << std::setprecision(2)
      << rt.engine().now().to_ms() << " ms ("
      << rt.engine().events_executed() << " events)\n";
+  os << "functional copies: " << rt.functional_copy_bytes()
+     << " payload bytes memcpy'd\n";
   os << std::left << std::setw(22) << "protocol" << std::right << std::setw(12)
      << "ops" << std::setw(16) << "bytes" << '\n';
   for (std::size_t i = 0; i < static_cast<std::size_t>(Protocol::kCount_); ++i) {
@@ -87,6 +89,7 @@ std::string format_report_json(Runtime& rt) {
   w.field("nodes", rt.cluster().num_nodes());
   w.field_fixed("virtual_time_us", rt.engine().now().to_us(), 3);
   w.field("events_executed", rt.engine().events_executed());
+  w.field("functional_copy_bytes", rt.functional_copy_bytes());
   w.key("ops").begin_object();
   w.field("puts", st.puts);
   w.field("gets", st.gets);

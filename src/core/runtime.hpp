@@ -114,6 +114,9 @@ struct OpStats {
   std::uint64_t gets = 0;
   std::uint64_t atomics = 0;
   std::uint64_t barriers = 0;
+  /// Payload bytes the core copied with a plain memcpy: host-shm copies,
+  /// inline-send slots and blocking-put snapshots.
+  std::uint64_t host_copy_bytes = 0;
 
   void count(Protocol p, std::size_t bytes) {
     ops_by_protocol[static_cast<std::size_t>(p)] += 1;
@@ -152,6 +155,13 @@ class Runtime {
   const Tuning& tuning() const { return opts_.tuning; }
   Transport& transport() { return *transport_; }
   OpStats& stats() { return stats_; }
+  /// Every payload byte any layer has memcpy'd so far: RDMA deliveries,
+  /// cudart copies and the core's host copies. Deterministic; a payload
+  /// that crosses no observable staging moves exactly once.
+  std::uint64_t functional_copy_bytes() {
+    return verbs_.functional_copy_bytes() + cuda_.functional_copy_bytes() +
+           stats_.host_copy_bytes;
+  }
   Tracer& tracer() { return tracer_; }
   Metrics& metrics() { return metrics_; }
   /// Mirror pull-style diagnostics (registration cache, verbs, proxies,

@@ -18,6 +18,7 @@ inline void host_shm_copy_by(Ctx& ctx, sim::Process& worker, void* dst,
   sim::Time done = p.schedule(rt.engine().now(), n);
   worker.delay(done - rt.engine().now());
   std::memcpy(dst, src, n);
+  rt.stats().host_copy_bytes += n;
   if (wake_pe >= 0) rt.notify_pe(wake_pe);
 }
 
@@ -67,6 +68,7 @@ inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
   if (use_inline) {
     auto [slot, comp_entry] = ctx.inline_slot();
     std::memcpy(slot, op.local, op.bytes);
+    rt.stats().host_copy_bytes += op.bytes;
     src = slot;
     slot_comp = comp_entry;
   }
@@ -114,24 +116,46 @@ struct StagingSlots {
 /// (2 * `chunk` bytes), then an RDMA write out of that slot from endpoint
 /// `src_ep` to `dst` on `target`. A slot is refilled only once its previous
 /// chunk is complete; under a fault plan that chunk's error completions are
-/// replayed first, while the slot still holds it. `owner` is the PE whose
-/// replays these are. The caller picks the completion tail from the slots.
+/// replayed first. `owner` is the PE whose replays these are. The caller
+/// picks the completion tail from the slots.
+///
+/// The staging hop is charged (copy engine, the slot's registration and
+/// source leg) but moves no bytes: each write carries `src + off` as its
+/// payload, read at the delivery instant, so a byte is copied once, from
+/// source to destination, and a replay re-reads the source. With
+/// `snapshot` (a blocking put on a healthy fabric, which returns with the
+/// last two chunks still in flight) those chunks travel from owner
+/// snapshots taken at the copy instant instead, so the caller may reuse
+/// `src` as soon as this returns.
 inline StagingSlots staged_write(Ctx& owner, sim::Process& worker, int src_ep,
                                  std::byte* staging, std::size_t chunk,
                                  const std::byte* src, int target,
-                                 std::byte* dst, std::size_t bytes) {
+                                 std::byte* dst, std::size_t bytes,
+                                 bool snapshot = false) {
   Runtime& rt = owner.runtime();
   StagingSlots slots;
+  const std::size_t chunks = (bytes + chunk - 1) / chunk;
   for (std::size_t off = 0; off < bytes; off += chunk) {
     const std::size_t c = std::min(chunk, bytes - off);
     const std::size_t s = (off / chunk) % 2;
     slots.drain(owner, worker, s);
     std::byte* slot = staging + s * chunk;
-    rt.cuda().memcpy_sync(worker, slot, src + off, c);
-    auto post = [&rt, &worker, src_ep, slot, target, to = dst + off, c] {
-      return rt.ib().rdma_write(worker, src_ep, slot, target, to, c);
+    rt.cuda().charge_copy_sync(worker, slot, src + off, c);
+    const std::byte* payload = src + off;
+    sim::CompletionPtr* held = nullptr;
+    if (snapshot && off / chunk + 2 >= chunks) {
+      auto [copy, comp_entry] = owner.snapshot(c);
+      std::memcpy(copy, payload, c);
+      rt.stats().host_copy_bytes += c;
+      payload = copy;
+      held = comp_entry;
+    }
+    auto post = [&rt, &worker, src_ep, slot, payload, target, to = dst + off,
+                 c] {
+      return rt.ib().rdma_write(worker, src_ep, slot, target, to, c, payload);
     };
     slots.comp[s] = post();
+    if (held != nullptr) *held = slots.comp[s];  // recycle once delivered
     if (rt.faults_enabled()) slots.repost[s] = post;
   }
   return slots;

@@ -98,7 +98,10 @@ class EnhancedGdrTransport final : public Transport {
   void direct_get(Ctx& ctx, const RmaOp& op, Protocol proto);
   void pipeline_gdr_write(Ctx& ctx, const RmaOp& op);
   void host_staged_get(Ctx& ctx, const RmaOp& op);
-  void proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
+  /// Stream `op` through the target node's proxy. Window writes are charged
+  /// from `host_src` and carry `payload` (the user source).
+  void proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src,
+                 const void* payload);
   void proxy_get(Ctx& ctx, const RmaOp& op);
 
   /// Record a gdr-fallback event when a device leg of `op`, issued by

@@ -96,8 +96,8 @@ Path CudaRuntime::copy_path(const PtrAttr& dst, const PtrAttr& src, int node_hin
   return cluster_.host_copy(node_hint);
 }
 
-void CudaRuntime::memcpy_sync(sim::Process& proc, void* dst, const void* src,
-                              std::size_t n) {
+void CudaRuntime::charge_copy_sync(sim::Process& proc, void* dst,
+                                   const void* src, std::size_t n) {
   if (n == 0) return;
   PtrAttr d = attributes(dst);
   PtrAttr s = attributes(src);
@@ -107,7 +107,14 @@ void CudaRuntime::memcpy_sync(sim::Process& proc, void* dst, const void* src,
   Path path = copy_path(d, s, node_hint);
   Time done = path.schedule(eng_.now(), n);
   proc.delay(done - eng_.now());
+}
+
+void CudaRuntime::memcpy_sync(sim::Process& proc, void* dst, const void* src,
+                              std::size_t n) {
+  if (n == 0) return;
+  charge_copy_sync(proc, dst, src, n);
   std::memcpy(dst, src, n);
+  functional_copy_bytes_ += n;
 }
 
 std::shared_ptr<CudaEvent> CudaRuntime::enqueue(Stream& stream, Duration cost,
@@ -139,8 +146,9 @@ std::shared_ptr<CudaEvent> CudaRuntime::memcpy_async(void* dst, const void* src,
   stream.busy_until_ = done;
   auto ev = std::make_shared<CudaEvent>();
   ev->ready_ = done;
-  eng_.schedule_at(done, [ev, dst, src, n] {
+  eng_.schedule_at(done, [this, ev, dst, src, n] {
     std::memcpy(dst, src, n);
+    functional_copy_bytes_ += n;
     ev->fired_ = true;
     ev->completed_.notify();
   });

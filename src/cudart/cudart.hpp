@@ -152,6 +152,11 @@ class CudaRuntime {
   /// Synchronous cudaMemcpy: direction inferred via UVA; charges the full
   /// hardware cost to the calling process, then moves the bytes.
   void memcpy_sync(sim::Process& proc, void* dst, const void* src, std::size_t n);
+  /// memcpy_sync's charge alone: the same path, schedule and link counters,
+  /// but no bytes move. For staging hops whose bytes no program can observe
+  /// (the payload travels straight from its source at delivery instead).
+  void charge_copy_sync(sim::Process& proc, void* dst, const void* src,
+                        std::size_t n);
   /// Stream-ordered async copy; bytes move at simulated completion.
   std::shared_ptr<CudaEvent> memcpy_async(void* dst, const void* src,
                                           std::size_t n, Stream& stream);
@@ -185,6 +190,10 @@ class CudaRuntime {
   // one node (used to price pipeline stages without issuing them).
   sim::Path copy_path(const PtrAttr& dst, const PtrAttr& src, int node_hint);
 
+  /// Payload bytes the copies above actually moved (memcpy_sync and
+  /// memcpy_async; charge-only copies move none).
+  std::uint64_t functional_copy_bytes() const { return functional_copy_bytes_; }
+
  private:
   std::shared_ptr<CudaEvent> enqueue(Stream& stream, sim::Duration cost,
                                      std::function<void()> body);
@@ -195,6 +204,7 @@ class CudaRuntime {
   std::vector<sim::ZeroPages> allocations_;
   std::map<void*, std::size_t> allocation_index_;
   std::set<std::pair<int, const void*>> ipc_opened_;  // (opener_pe, base)
+  std::uint64_t functional_copy_bytes_ = 0;
 };
 
 }  // namespace gdrshmem::cudart

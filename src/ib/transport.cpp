@@ -63,7 +63,7 @@ int other_hca(const hw::Cluster& cl, int hca) {
 
 CompletionPtr Transport::striped_write(sim::Process& proc, int src_pe,
                                        const void* lbuf, int dst_pe, void* rbuf,
-                                       std::size_t n) {
+                                       std::size_t n, const void* payload) {
   ++striped_ops_;
   hw::Cluster& cl = verbs_.cluster();
   hw::PePlacement sp = cl.placement(src_pe);
@@ -72,14 +72,15 @@ CompletionPtr Transport::striped_write(sim::Process& proc, int src_pe,
   // each pay (and cache) a half-range registration.
   verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
   const auto* lb = static_cast<const std::byte*>(lbuf);
+  const auto* pl = static_cast<const std::byte*>(payload);
   auto* rb = static_cast<std::byte*>(rbuf);
   std::size_t half = n / 2;
   std::vector<CompletionPtr> parts;
   parts.push_back(verbs_.rdma_write(proc, src_pe, lb, dst_pe, rb, half,
-                                    Rail{sp.hca, dp.hca}));
+                                    Rail{sp.hca, dp.hca}, {}, pl));
   parts.push_back(verbs_.rdma_write(
       proc, src_pe, lb + half, dst_pe, rb + half, n - half,
-      Rail{other_hca(cl, sp.hca), other_hca(cl, dp.hca)}));
+      Rail{other_hca(cl, sp.hca), other_hca(cl, dp.hca)}, {}, pl + half));
   return sim::aggregate(std::move(parts));
 }
 
@@ -105,9 +106,12 @@ CompletionPtr Transport::striped_read(sim::Process& proc, int src_pe,
 
 CompletionPtr Transport::rdma_write(sim::Process& proc, int src_pe,
                                     const void* lbuf, int dst_pe, void* rbuf,
-                                    std::size_t n) {
-  if (stripe_eligible(n)) return striped_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
+                                    std::size_t n, const void* payload) {
+  if (stripe_eligible(n)) {
+    return striped_write(proc, src_pe, lbuf, dst_pe, rbuf, n, payload);
+  }
+  return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n, {}, {},
+                           payload);
 }
 
 CompletionPtr Transport::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
@@ -176,9 +180,10 @@ class RcTransport final : public Transport {
   }
 
   CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
+                           int dst_pe, void* rbuf, std::size_t n,
+                           const void* payload) override {
     charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
+    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n, payload);
   }
   CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
                           int dst_pe, const void* rbuf, std::size_t n) override {
@@ -244,24 +249,27 @@ class UdTransport final : public Transport {
   }
 
   CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
+                           int dst_pe, void* rbuf, std::size_t n,
+                           const void* payload) override {
     const std::size_t mtu = params().ud_mtu_bytes;
     if (n <= mtu) {
       charge_packets(proc, 1);
-      return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
+      return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n, {}, {},
+                               payload);
     }
     // Software segmentation: register the whole source once, then emulate
     // the write as a train of MTU-sized datagrams. Bytes land identically
     // (per-segment copies at per-segment arrival); only timing differs.
     verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
     const auto* lb = static_cast<const std::byte*>(lbuf);
+    const auto* pl = static_cast<const std::byte*>(payload);
     auto* rb = static_cast<std::byte*>(rbuf);
     std::vector<CompletionPtr> parts;
     for (std::size_t off = 0; off < n; off += mtu) {
       std::size_t seg = std::min(mtu, n - off);
       charge_packets(proc, 1);
-      parts.push_back(
-          verbs_.rdma_write(proc, src_pe, lb + off, dst_pe, rb + off, seg));
+      parts.push_back(verbs_.rdma_write(proc, src_pe, lb + off, dst_pe,
+                                        rb + off, seg, {}, {}, pl + off));
     }
     return sim::aggregate(std::move(parts));
   }
@@ -331,12 +339,13 @@ class DcTransport final : public Transport {
   }
 
   CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
+                           int dst_pe, void* rbuf, std::size_t n,
+                           const void* payload) override {
     acquire_dci(proc, src_pe, dst_pe, 0);
     // A striped op drives the second HCA's DCI pool too; it must pay that
     // rail's connection state as well, not ride rail 1's acquisition.
     if (stripe_eligible(n)) acquire_dci(proc, src_pe, dst_pe, 1);
-    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
+    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n, payload);
   }
   CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
                           int dst_pe, const void* rbuf, std::size_t n) override {
@@ -435,7 +444,8 @@ class SrdTransport final : public Transport {
   }
 
   CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
+                           int dst_pe, void* rbuf, std::size_t n,
+                           const void* payload) override {
     const std::size_t mtu = params().srd_mtu_bytes;
     const std::uint64_t op = next_op_id_++;
     if (n <= mtu) {
@@ -443,16 +453,18 @@ class SrdTransport final : public Transport {
       // path — back-to-back small ops on one flow can land out of order.
       charge_segment(proc);
       auto track = start_op(1);
-      return finish_op(track, verbs_.rdma_write(
-                                  proc, src_pe, lbuf, dst_pe, rbuf, n,
-                                  rail_for(src_pe, dst_pe, 0),
-                                  seg_opts(track, op, 0, n, src_pe, dst_pe)));
+      return finish_op(
+          track, verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n,
+                                   rail_for(src_pe, dst_pe, 0),
+                                   seg_opts(track, op, 0, n, src_pe, dst_pe),
+                                   payload));
     }
     verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
     if (cfg_.rails >= 2 && verbs_.cluster().config().hcas_per_node >= 2) {
       ++striped_ops_;  // segments alternate HCAs: multi-rail spraying
     }
     const auto* lb = static_cast<const std::byte*>(lbuf);
+    const auto* pl = static_cast<const std::byte*>(payload);
     auto* rb = static_cast<std::byte*>(rbuf);
     auto track = start_op((n + mtu - 1) / mtu);
     std::vector<CompletionPtr> parts;
@@ -463,7 +475,7 @@ class SrdTransport final : public Transport {
       parts.push_back(verbs_.rdma_write(
           proc, src_pe, lb + off, dst_pe, rb + off, seg,
           rail_for(src_pe, dst_pe, idx),
-          seg_opts(track, op, idx, seg, src_pe, dst_pe)));
+          seg_opts(track, op, idx, seg, src_pe, dst_pe), pl + off));
     }
     return finish_op(track, sim::aggregate(std::move(parts)));
   }

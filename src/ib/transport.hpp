@@ -78,7 +78,10 @@ class Endpoint;
 /// The op surface mirrors Verbs (same signatures, same completion
 /// semantics) so the protocol layers above — Ctx, the core transports, the
 /// proxy, both device backends — swap in transparently; the fault
-/// retransmit machinery runs unchanged underneath every QP kind.
+/// retransmit machinery runs unchanged underneath every QP kind. rdma_write
+/// always names its functional source `payload` (Verbs::rdma_write);
+/// segmentation, spraying and striping offset it exactly as they offset
+/// `lbuf`.
 class Transport {
  public:
   Transport(Verbs& verbs, const TransportConfig& cfg);
@@ -111,7 +114,8 @@ class Transport {
 
   virtual sim::CompletionPtr rdma_write(sim::Process& proc, int src_pe,
                                         const void* lbuf, int dst_pe,
-                                        void* rbuf, std::size_t n);
+                                        void* rbuf, std::size_t n,
+                                        const void* payload);
   virtual sim::CompletionPtr rdma_read(sim::Process& proc, int src_pe,
                                        void* lbuf, int dst_pe,
                                        const void* rbuf, std::size_t n);
@@ -149,7 +153,7 @@ class Transport {
   /// Split the transfer across both HCAs; one completion for both halves.
   sim::CompletionPtr striped_write(sim::Process& proc, int src_pe,
                                    const void* lbuf, int dst_pe, void* rbuf,
-                                   std::size_t n);
+                                   std::size_t n, const void* payload);
   sim::CompletionPtr striped_read(sim::Process& proc, int src_pe, void* lbuf,
                                   int dst_pe, const void* rbuf, std::size_t n);
 
@@ -175,7 +179,7 @@ class Endpoint {
 
   sim::CompletionPtr rdma_write(sim::Process& proc, const void* lbuf,
                                 int dst_pe, void* rbuf, std::size_t n) {
-    return t_.rdma_write(proc, id_, lbuf, dst_pe, rbuf, n);
+    return t_.rdma_write(proc, id_, lbuf, dst_pe, rbuf, n, lbuf);
   }
   sim::CompletionPtr rdma_read(sim::Process& proc, void* lbuf, int dst_pe,
                                const void* rbuf, std::size_t n) {

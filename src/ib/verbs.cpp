@@ -184,13 +184,15 @@ void Verbs::run_attempts(int src_pe, int dst_pe, bool atomic, bool unlimited,
 
 CompletionPtr Verbs::rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
                                 int dst_pe, void* rbuf, std::size_t n,
-                                Rail rail, SegmentOpts seg) {
+                                Rail rail, SegmentOpts seg,
+                                const void* payload) {
+  if (payload == nullptr) payload = lbuf;
   pre_post(proc, dst_pe, rbuf, n);
   reg_cache_.get_or_register(proc, src_pe, lbuf, n);
   auto comp = std::make_shared<Completion>();
   // The successful transmission, scheduled from the instant it runs. With no
   // fault plan it executes immediately below — the legacy single-shot path.
-  auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail, comp,
+  auto transmit = [this, src_pe, lbuf, payload, dst_pe, rbuf, n, rail, comp,
                    seg = std::move(seg)] {
     hw::PePlacement src = cluster_.placement(src_pe);
     hw::PePlacement dst = cluster_.placement(dst_pe);
@@ -203,9 +205,10 @@ CompletionPtr Verbs::rdma_write(sim::Process& proc, int src_pe, const void* lbuf
                       cluster_.wire(src.node, shca, dst.node, dhca),
                       local_leg(dst_pe, rbuf, hw::P2pDir::kWrite, dhca)});
     Time data_at_target = path.schedule(eng_.now(), n) + seg.jitter;
-    eng_.schedule_at(data_at_target, [this, dst_pe, lbuf, rbuf, n,
+    eng_.schedule_at(data_at_target, [this, dst_pe, payload, rbuf, n,
                                       on_del = seg.on_delivered] {
-      std::memcpy(rbuf, lbuf, n);
+      std::memcpy(rbuf, payload, n);
+      functional_copy_bytes_ += n;
       if (on_del) on_del();
       delivered(dst_pe);
     });
@@ -251,6 +254,7 @@ CompletionPtr Verbs::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
     eng_.schedule_at(data_local, [this, comp, src_pe, lbuf, rbuf, n,
                                   on_del = seg.on_delivered] {
       std::memcpy(lbuf, rbuf, n);
+      functional_copy_bytes_ += n;
       if (on_del) on_del();
       delivered(src_pe);
       comp->fire();

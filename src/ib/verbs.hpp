@@ -143,10 +143,15 @@ class Verbs {
   /// Works for any host/GPU buffer combination; GPU legs go through GDR.
   /// `rail` pins each side's HCA for multi-rail striping (placement default
   /// otherwise); `seg` adds relaxed-ordering per-segment scheduling.
+  /// `payload` (null: `lbuf`) is where the delivered bytes are copied from
+  /// at the delivery instant; `lbuf` alone drives registration, the source
+  /// leg and every charge. A staging hop posts its slot as `lbuf` and the
+  /// real source as `payload`, so the slot is never written.
   sim::CompletionPtr rdma_write(sim::Process& proc, int src_pe,
                                 const void* lbuf, int dst_pe, void* rbuf,
                                 std::size_t n, Rail rail = {},
-                                SegmentOpts seg = {});
+                                SegmentOpts seg = {},
+                                const void* payload = nullptr);
 
   /// One-sided RDMA read of `n` bytes from `dst_pe`'s `rbuf` into
   /// `src_pe`-local `lbuf`. Completion fires when the data is in `lbuf`.
@@ -174,6 +179,8 @@ class Verbs {
 
   // Diagnostics.
   std::uint64_t ops_posted() const { return ops_posted_; }
+  /// Payload bytes RDMA deliveries copied (writes and reads).
+  std::uint64_t functional_copy_bytes() const { return functional_copy_bytes_; }
 
  private:
   /// The HCA-side DMA leg for a buffer: host DMA or a GDR P2P access.
@@ -210,6 +217,7 @@ class Verbs {
   std::function<void(int)> delivery_hook_;
   sim::FaultInjector* faults_ = nullptr;
   std::uint64_t ops_posted_ = 0;
+  std::uint64_t functional_copy_bytes_ = 0;
 };
 
 }  // namespace gdrshmem::ib

@@ -36,6 +36,7 @@ TEST(Report, SummarizesProtocolsAndResources) {
   EXPECT_NE(report.find("registration cache"), std::string::npos);
   EXPECT_NE(report.find("proxy daemons: 1 gets"), std::string::npos);
   EXPECT_NE(report.find("symmetric heaps"), std::string::npos);
+  EXPECT_NE(report.find("functional copies: "), std::string::npos);
 }
 
 TEST(Report, BaselineHasNoProxySection) {
@@ -69,7 +70,7 @@ TEST(ReportJson, WellFormedWithStableFieldOrder) {
   std::size_t last = 0;
   for (const char* key :
        {"\"schema\":1", "\"transport\":\"enhanced-gdr\"", "\"pes\":2",
-        "\"virtual_time_us\":", "\"ops\":", "\"protocols\":[",
+        "\"virtual_time_us\":", "\"functional_copy_bytes\":", "\"ops\":", "\"protocols\":[",
         "\"reg_cache\":", "\"proxy\":", "\"heap\":", "\"trace\":",
         "\"metrics\":", "\"counters\":", "\"gauges\":", "\"histograms\":"}) {
     std::size_t pos = json.find(key, last);

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -346,6 +347,41 @@ TEST(Striping, OddSizeLandsEveryByte) {
   f.eng.run();
   EXPECT_EQ(dst, src);
   EXPECT_EQ(f.transport->striped_ops(), 1u);
+}
+
+// A write's bytes come from its `payload`, which segmentation, spraying and
+// striping offset exactly as they offset the charged source leg `lbuf` (all
+// zeros here), and the schedule is the one the write gets with
+// payload == lbuf.
+TEST(Payload, LandsFromPayloadOnEveryQpKindAndRailCount) {
+  const std::size_t n = (1u << 20) + 13;  // UD/SRD segments, 2-rail stripes
+  std::vector<std::byte> payload(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    payload[i] = static_cast<std::byte>(i * 7 + 3);
+  }
+  for (QpKind kind : {QpKind::kRc, QpKind::kUd, QpKind::kDc, QpKind::kSrd}) {
+    for (int rails : {1, 2}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + ", " +
+                   std::to_string(rails) + " rail(s)");
+      sim::Time done[2];
+      for (bool separate : {false, true}) {
+        std::vector<std::byte> lbuf = separate ? std::vector<std::byte>(n)
+                                               : payload;
+        std::vector<std::byte> dst(n);
+        Fixture f(TransportConfig{kind, rails, false});
+        f.verbs.reg_cache().register_at_init(0, lbuf.data(), n);
+        f.verbs.reg_cache().register_at_init(2, dst.data(), n);
+        f.eng.spawn("pe0", [&](sim::Process& p) {
+          f.transport->rdma_write(p, 0, lbuf.data(), 2, dst.data(), n,
+                                  payload.data())->wait(p);
+        });
+        f.eng.run();
+        done[separate] = f.eng.now();
+        EXPECT_EQ(dst, payload);
+      }
+      EXPECT_EQ(done[0], done[1]);
+    }
+  }
 }
 
 TEST(Striping, SmallMessagesStayOnOneRail) {
