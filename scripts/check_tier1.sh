@@ -15,11 +15,12 @@ cmake --build build -j
 # tests follow GDRSHMEM_DEVICE_BACKEND, so each pass exercises option
 # parsing end-to-end plus the selected engine as the process-wide default.
 # The fault-injection suite rides along: its recovery paths are the same
-# code as the healthy ones and must hold under either engine.
+# code as the healthy ones and must hold under either engine. FromEnv
+# checks the flipped key reaches from_env() and RuntimeOptions{} alike.
 for dev_backend in gpu-ib reverse; do
   echo "== device-backend A/B: GDRSHMEM_DEVICE_BACKEND=$dev_backend =="
   (cd build && GDRSHMEM_DEVICE_BACKEND=$dev_backend \
-     ctest --output-on-failure -R 'DeviceApi|Stencil2DDevice|FaultInjection')
+     ctest --output-on-failure -R 'DeviceApi|Stencil2DDevice|FaultInjection|FromEnv|TransportEnv')
 done
 
 # IB-transport A/B: the byte-exact differential suites run with the
@@ -30,13 +31,13 @@ done
 # the proxy-crash paths) and the staging suites (staged puts keep their
 # bytes, sources are reusable, each payload byte is copied once).
 # (Timing-assertion suites stay on their pinned configs — transports move
-# the clock, never the bytes.)
+# the clock, never the bytes.) FromEnv rides along as in the device pass.
 staging_suites='StagingClobber|SourceReuse|FunctionalCopy'
 for ib_transport in rc dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure \
-       -R "TransportDiff|Fuzz|OddSizes|FaultInjection|ProxyCrash|$staging_suites")
+       -R "TransportDiff|Fuzz|OddSizes|FaultInjection|ProxyCrash|FromEnv|TransportEnv|$staging_suites")
 done
 # Striping offsets each write's payload exactly as its source leg: run the
 # staging suites once with every large write split across two rails.

@@ -77,16 +77,6 @@ std::byte* SyncLayout::workspace(std::byte* pool, int slot) const {
 // ---------------------------------------------------------------------------
 // Algorithm names / support
 
-CollAlgo algo_from_string(const std::string& s) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(CollAlgo::kCount_); ++i) {
-    if (s == to_string(static_cast<CollAlgo>(i))) return static_cast<CollAlgo>(i);
-  }
-  throw std::invalid_argument(
-      "unknown collective algorithm \"" + s +
-      "\" (known: auto, linear, dissemination, binomial, ring, recdbl, "
-      "bruck, pairwise)");
-}
-
 bool algo_supported(CollKind kind, CollAlgo algo) {
   if (algo == CollAlgo::kAuto) return true;
   switch (kind) {

@@ -33,10 +33,6 @@ class Ctx;
 
 namespace gdrshmem::core::coll {
 
-/// Parse an algorithm name ("ring", "recdbl", ...). Throws
-/// std::invalid_argument on unknown names (options.cpp re-surfaces it).
-CollAlgo algo_from_string(const std::string& s);
-
 /// Whether `algo` is implemented for `kind` (kAuto counts as supported).
 bool algo_supported(CollKind kind, CollAlgo algo);
 

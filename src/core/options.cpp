@@ -1,8 +1,14 @@
-// RuntimeOptions::from_env: every GDRSHMEM_* environment variable is parsed
-// and validated here, in one place. Unknown GDRSHMEM_* names are an error —
-// a silently ignored typo in a tuning knob is worse than a refusal to start.
+// The GDRSHMEM_* environment surface: one table row per accepted key, parsed
+// and validated here and nowhere else. RuntimeOptions::from_env walks the
+// environment through the table; the default constructor applies only the
+// rows marked as process defaults. Unknown GDRSHMEM_* names and empty values
+// are errors — a silently ignored typo in a tuning knob is worse than a
+// refusal to start.
+#include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,287 +22,326 @@ extern char** environ;
 namespace gdrshmem::core {
 namespace {
 
-[[noreturn]] void bad(std::string_view var, const std::string& why) {
-  throw ShmemError(std::string(var) + ": " + why);
+[[noreturn]] void bad(std::string_view key, const std::string& why) {
+  throw ShmemError(std::string(key) + ": " + why);
 }
 
-double env_double(std::string_view var, const std::string& value) {
+std::string quoted(std::string_view s) { return "\"" + std::string(s) + "\""; }
+
+/// Decimal integer in [lo, hi].
+long long integer(std::string_view key, const std::string& value,
+                  long long lo, long long hi = LLONG_MAX) {
+  long long v = 0;
+  std::size_t used = 0;
   try {
-    std::size_t used = 0;
-    double v = std::stod(value, &used);
-    if (used != value.size()) bad(var, "trailing characters in \"" + value + "\"");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad(var, "not a number: \"" + value + "\"");
+    v = std::stoll(value, &used);
   } catch (const std::out_of_range&) {
-    bad(var, "number out of range: \"" + value + "\"");
+    bad(key, "out of range: " + quoted(value));
+  } catch (const std::invalid_argument&) {
+    bad(key, "not an integer: " + quoted(value));
   }
-}
-
-long long env_int(std::string_view var, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    long long v = std::stoll(value, &used);
-    if (used != value.size()) bad(var, "trailing characters in \"" + value + "\"");
-    return v;
-  } catch (const std::exception&) {
-    bad(var, "not an integer: \"" + value + "\"");
+  if (used != value.size()) bad(key, "trailing characters in " + quoted(value));
+  if (v < lo || v > hi) {
+    bad(key, "must be " +
+                 (hi == LLONG_MAX ? ">= " + std::to_string(lo)
+                                  : "in [" + std::to_string(lo) + ", " +
+                                        std::to_string(hi) + "]") +
+                 ", got " + quoted(value));
   }
+  return v;
 }
 
 /// Byte size with an optional K/M/G suffix (powers of 1024): "4M", "512K".
-std::size_t env_size(std::string_view var, const std::string& value) {
-  if (value.empty()) bad(var, "empty size");
+std::size_t size(std::string_view key, const std::string& value,
+                 std::size_t floor = 0) {
   std::string digits = value;
-  std::size_t mult = 1;
-  char suffix = static_cast<char>(
-      std::toupper(static_cast<unsigned char>(digits.back())));
-  if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
-    mult = suffix == 'K' ? (1u << 10) : suffix == 'M' ? (1u << 20) : (1u << 30);
-    digits.pop_back();
+  unsigned shift = 0;
+  switch (std::toupper(static_cast<unsigned char>(digits.back()))) {
+    case 'K': shift = 10; break;
+    case 'M': shift = 20; break;
+    case 'G': shift = 30; break;
   }
-  long long v = env_int(var, digits);
-  if (v < 0) bad(var, "size must be >= 0");
-  auto uv = static_cast<std::size_t>(v);
-  if (mult != 1 && uv > std::numeric_limits<std::size_t>::max() / mult) {
-    bad(var, "size out of range: \"" + value + "\" overflows");
+  if (shift != 0) digits.pop_back();
+  auto v = static_cast<std::size_t>(integer(key, digits, 0));
+  if (v > (std::numeric_limits<std::size_t>::max() >> shift)) {
+    bad(key, "size out of range: " + quoted(value) + " overflows");
   }
-  return uv * mult;
+  v <<= shift;
+  if (v < floor) {
+    bad(key, "must be >= " + std::to_string(floor) + " bytes, got " +
+                 quoted(value));
+  }
+  return v;
 }
 
-bool env_bool(std::string_view var, const std::string& value) {
+/// Real number >= lo (> lo when `open`).
+double real(std::string_view key, const std::string& value, int lo,
+            bool open = false) {
+  double v = 0;
+  std::size_t used = 0;
+  try {
+    v = std::stod(value, &used);
+  } catch (const std::out_of_range&) {
+    bad(key, "number out of range: " + quoted(value));
+  } catch (const std::invalid_argument&) {
+    bad(key, "not a number: " + quoted(value));
+  }
+  if (used != value.size()) bad(key, "trailing characters in " + quoted(value));
+  if (!(open ? v > lo : v >= lo)) {
+    bad(key, std::string("must be ") + (open ? "> " : ">= ") +
+                 std::to_string(lo) + ", got " + quoted(value));
+  }
+  return v;
+}
+
+bool flag(std::string_view key, const std::string& value) {
   if (value == "1" || value == "true" || value == "on") return true;
   if (value == "0" || value == "false" || value == "off") return false;
-  bad(var, "expected 0/1 (or true/false, on/off), got \"" + value + "\"");
+  bad(key, "expected 0/1 (or true/false, on/off), got " + quoted(value));
+}
+
+/// The enumerator whose to_string is `value`. Every to_string in the runtime
+/// returns "?" past its last enumerator, which ends the walk.
+template <class E>
+E enumerator(std::string_view key, std::string_view value) {
+  std::string known;
+  for (int i = 0;; ++i) {
+    const std::string_view name = to_string(static_cast<E>(i));
+    if (name == "?") break;
+    if (name == value) return static_cast<E>(i);
+    known += (i == 0 ? "" : " | ") + std::string(name);
+  }
+  bad(key, "expected " + known + ", got " + quoted(value));
+}
+
+/// sim/ reads its two keys itself, because the engine also runs without a
+/// Runtime; their rows call those readers and re-raise as ShmemError.
+template <class Read>
+auto sim_reader(Read read) {
+  try {
+    return read();
+  } catch (const std::invalid_argument& e) {
+    throw ShmemError(e.what());
+  }
+}
+
+/// Either a single algorithm name (applied to every collective kind that
+/// implements it; the rest stay on auto selection) or a comma list of
+/// kind=algo pairs: "bcast=ring,allreduce=recdbl".
+void coll_algo(Tuning& t, std::string_view key, std::string_view value) {
+  if (value.find('=') == std::string_view::npos) {
+    const auto algo = enumerator<CollAlgo>(key, value);
+    for (std::size_t k = 0; k < t.coll_force.size(); ++k) {
+      if (coll::algo_supported(static_cast<CollKind>(k), algo)) {
+        t.coll_force[k] = algo;
+      }
+    }
+    return;
+  }
+  while (!value.empty()) {
+    const auto comma = value.find(',');
+    const auto pair = value.substr(0, comma);
+    value = comma == std::string_view::npos ? "" : value.substr(comma + 1);
+    const auto eq = pair.find('=');
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
+      bad(key, "expected kind=algo pairs, got " + quoted(pair));
+    }
+    const auto kind = enumerator<CollKind>(key, pair.substr(0, eq));
+    const auto algo = enumerator<CollAlgo>(key, pair.substr(eq + 1));
+    if (!coll::algo_supported(kind, algo)) {
+      bad(key, std::string(to_string(algo)) + " is not a " + to_string(kind) +
+                   " algorithm");
+    }
+    t.coll_force[static_cast<std::size_t>(kind)] = algo;
+  }
+}
+
+constexpr std::size_t kMinHeap = 64u << 10;
+
+struct Row {
+  const char* key;
+  void (*apply)(RuntimeOptions&, std::string_view key,
+                const std::string& value);
+  /// Also applied by RuntimeOptions' default constructor, so options built
+  /// in code honor the key: CI A/Bs whole suites by flipping these.
+  bool process_default = false;
+};
+
+constexpr Row kRows[] = {
+    {"GDRSHMEM_SIM_BACKEND",
+     [](auto& o, auto, auto&) {
+       o.sim_backend = sim_reader(sim::backend_from_env);
+     },
+     true},
+    {"GDRSHMEM_SIM_STACK_KB",  // consumed by the fiber backend; checked eagerly
+     [](auto&, auto, auto&) { sim_reader(sim::fiber_stack_bytes_from_env); }},
+    {"GDRSHMEM_TRANSPORT",
+     [](auto& o, auto k, auto& v) {
+       o.transport = enumerator<TransportKind>(k, v);
+     }},
+    {"GDRSHMEM_HOST_HEAP",
+     [](auto& o, auto k, auto& v) {
+       o.host_heap_bytes = size(k, v, kMinHeap);
+     }},
+    {"GDRSHMEM_GPU_HEAP",
+     [](auto& o, auto k, auto& v) { o.gpu_heap_bytes = size(k, v, kMinHeap); }},
+    {"GDRSHMEM_PMEM_HEAP",
+     [](auto& o, auto k, auto& v) {
+       // 0 (the default) disables the pmem domain entirely; a present heap
+       // obeys the same 64K floor as the host and GPU heaps.
+       o.pmem_heap_bytes = size(k, v);
+       if (o.pmem_heap_bytes != 0 && o.pmem_heap_bytes < kMinHeap) {
+         bad(k, "must be 0 (no pmem domain) or >= " +
+                    std::to_string(kMinHeap) + " bytes, got " + quoted(v));
+       }
+     }},
+    {"GDRSHMEM_SERVICE_THREAD",
+     [](auto& o, auto k, auto& v) { o.service_thread = flag(k, v); }},
+    {"GDRSHMEM_SERVICE_THREAD_PENALTY",
+     [](auto& o, auto k, auto& v) {
+       o.service_thread_compute_penalty = real(k, v, 1);
+     }},
+    {"GDRSHMEM_USE_PROXY",
+     [](auto& o, auto k, auto& v) { o.tuning.use_proxy = flag(k, v); }},
+    {"GDRSHMEM_EAGER_LIMIT",
+     [](auto& o, auto k, auto& v) { o.tuning.eager_limit = size(k, v); }},
+    {"GDRSHMEM_PIPELINE_CHUNK",
+     [](auto& o, auto k, auto& v) { o.tuning.pipeline_chunk = size(k, v, 1); }},
+    {"GDRSHMEM_INLINE_PUT_LIMIT",
+     [](auto& o, auto k, auto& v) { o.tuning.inline_put_limit = size(k, v); }},
+    {"GDRSHMEM_LOOPBACK_GDR_WRITE_LIMIT",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.loopback_gdr_write_limit = size(k, v);
+     }},
+    {"GDRSHMEM_LOOPBACK_GDR_READ_LIMIT",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.loopback_gdr_read_limit = size(k, v);
+     }},
+    {"GDRSHMEM_DIRECT_GDR_WRITE_LIMIT",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.direct_gdr_write_limit = size(k, v);
+     }},
+    {"GDRSHMEM_DIRECT_GDR_READ_LIMIT",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.direct_gdr_read_limit = size(k, v);
+     }},
+    {"GDRSHMEM_INTER_SOCKET_GDR_DIVISOR",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.inter_socket_gdr_divisor =
+           static_cast<std::size_t>(integer(k, v, 1));
+     }},
+    {"GDRSHMEM_COLL_ALGO",
+     [](auto& o, auto k, auto& v) { coll_algo(o.tuning, k, v); }},
+    {"GDRSHMEM_COLL_CHUNK",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.coll_chunk = size(k, v, 4u << 10);
+     }},
+    {"GDRSHMEM_MAX_SW_REPLAYS",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.max_sw_replays = static_cast<int>(integer(k, v, 1, INT_MAX));
+     }},
+    {"GDRSHMEM_REPLAY_BACKOFF_US",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.replay_backoff_base_us = real(k, v, 0, true);
+     }},
+    {"GDRSHMEM_PROXY_TIMEOUT_US",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.proxy_timeout_us = real(k, v, 0, true);
+     }},
+    {"GDRSHMEM_PROXY_MAX_REISSUES",
+     [](auto& o, auto k, auto& v) {
+       o.tuning.proxy_max_reissues =
+           static_cast<int>(integer(k, v, 1, INT_MAX));
+     }},
+    {"GDRSHMEM_DEVICE_BACKEND",
+     [](auto& o, auto k, auto& v) {
+       o.device_backend = enumerator<DeviceBackendKind>(k, v);
+     },
+     true},
+    {"GDRSHMEM_DEVICE_QUEUE_DEPTH",
+     [](auto& o, auto k, auto& v) {
+       o.device_queue_depth = static_cast<std::size_t>(integer(k, v, 1));
+     }},
+    {"GDRSHMEM_IB_TRANSPORT",
+     [](auto& o, auto k, auto& v) {
+       o.ib_transport = enumerator<ib::QpKind>(k, v);
+     },
+     true},
+    {"GDRSHMEM_IB_RAILS",
+     [](auto& o, auto k, auto& v) {
+       o.ib_rails = static_cast<int>(integer(k, v, 1, 2));
+     },
+     true},
+    {"GDRSHMEM_IB_SRQ",
+     [](auto& o, auto k, auto& v) { o.ib_srq = flag(k, v); }},
+    {"GDRSHMEM_IB_SRD_SEED",
+     [](auto& o, auto k, auto& v) {
+       o.ib_srd_seed = static_cast<std::uint64_t>(integer(k, v, 0));
+     }},
+    {"GDRSHMEM_IB_SRD_JITTER_US",  // 0 disables jitter
+     [](auto& o, auto k, auto& v) { o.ib_srd_jitter_us = real(k, v, 0); }},
+    {"GDRSHMEM_FAULTS",
+     [](auto& o, auto k, auto& v) {
+       try {
+         o.faults = sim::FaultPlan::parse(v);
+       } catch (const std::invalid_argument& e) {
+         bad(k, e.what());
+       }
+     }},
+    {"GDRSHMEM_TRACE", [](auto& o, auto k, auto& v) { o.trace = flag(k, v); },
+     true},
+    {"GDRSHMEM_TRACE_CAP",
+     [](auto& o, auto k, auto& v) {
+       o.trace_cap = static_cast<std::size_t>(integer(k, v, 1));
+     },
+     true},
+};
+
+void apply(const Row& row, RuntimeOptions& opts, const std::string& value) {
+  if (value.empty()) {
+    bad(row.key, "empty value (unset the variable to keep the default)");
+  }
+  row.apply(opts, row.key, value);
 }
 
 }  // namespace
 
-RuntimeOptions RuntimeOptions::from_env() {
-  // The defaulted sim_backend member already consults GDRSHMEM_SIM_BACKEND
-  // (and throws std::invalid_argument on garbage); surface that through the
-  // same error type as every other variable here.
-  RuntimeOptions opts = [] {
-    try {
-      return RuntimeOptions{};
-    } catch (const std::invalid_argument& e) {
-      throw ShmemError(e.what());
-    }
-  }();
-  for (char** env = environ; *env != nullptr; ++env) {
-    std::string_view entry(*env);
-    if (entry.substr(0, 9) != "GDRSHMEM_") continue;
-    auto eq = entry.find('=');
-    if (eq == std::string_view::npos) continue;
-    std::string_view key = entry.substr(0, eq);
-    std::string value(entry.substr(eq + 1));
+RuntimeOptions::RuntimeOptions() {
+  for (const Row& row : kRows) {
+    if (!row.process_default) continue;
+    if (const char* value = std::getenv(row.key)) apply(row, *this, value);
+  }
+}
 
-    if (key == "GDRSHMEM_SIM_BACKEND") {
-      // Also consumed directly by the engine; validated here for the error
-      // message and mirrored into the options for programmatic use.
-      if (value == "fibers") {
-        opts.sim_backend = sim::BackendKind::kFibers;
-      } else if (value == "threads") {
-        opts.sim_backend = sim::BackendKind::kThreads;
-      } else {
-        bad(key, "expected 'fibers' or 'threads', got \"" + value + "\"");
-      }
-    } else if (key == "GDRSHMEM_SIM_STACK_KB") {
-      // Consumed by the fiber backend at spawn time; validate eagerly.
-      // Units: KiB of usable stack per fiber (excluding the guard page).
-      if (env_int(key, value) < 64) bad(key, "must be >= 64 (KiB per fiber)");
-    } else if (key == "GDRSHMEM_TRANSPORT") {
-      if (value == "naive") {
-        opts.transport = TransportKind::kNaive;
-      } else if (value == "host-pipeline") {
-        opts.transport = TransportKind::kHostPipeline;
-      } else if (value == "enhanced-gdr") {
-        opts.transport = TransportKind::kEnhancedGdr;
-      } else {
-        bad(key, "expected naive | host-pipeline | enhanced-gdr, got \"" +
-                     value + "\"");
-      }
-    } else if (key == "GDRSHMEM_HOST_HEAP") {
-      opts.host_heap_bytes = env_size(key, value);
-      if (opts.host_heap_bytes < (1u << 16)) bad(key, "heap must be >= 64K");
-    } else if (key == "GDRSHMEM_GPU_HEAP") {
-      opts.gpu_heap_bytes = env_size(key, value);
-      if (opts.gpu_heap_bytes < (1u << 16)) bad(key, "heap must be >= 64K");
-    } else if (key == "GDRSHMEM_PMEM_HEAP") {
-      // 0 (the default) disables the pmem domain entirely; a present heap
-      // obeys the same 64K floor as the host and GPU heaps.
-      opts.pmem_heap_bytes = env_size(key, value);
-      if (opts.pmem_heap_bytes > 0 && opts.pmem_heap_bytes < (1u << 16)) {
-        bad(key, "heap must be >= 64K (or 0 to disable the pmem domain)");
-      }
-    } else if (key == "GDRSHMEM_SERVICE_THREAD") {
-      opts.service_thread = env_bool(key, value);
-    } else if (key == "GDRSHMEM_SERVICE_THREAD_PENALTY") {
-      opts.service_thread_compute_penalty = env_double(key, value);
-      if (opts.service_thread_compute_penalty < 1.0) bad(key, "must be >= 1");
-    } else if (key == "GDRSHMEM_USE_PROXY") {
-      opts.tuning.use_proxy = env_bool(key, value);
-    } else if (key == "GDRSHMEM_EAGER_LIMIT") {
-      opts.tuning.eager_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_PIPELINE_CHUNK") {
-      opts.tuning.pipeline_chunk = env_size(key, value);
-      if (opts.tuning.pipeline_chunk == 0) bad(key, "chunk must be > 0");
-    } else if (key == "GDRSHMEM_INLINE_PUT_LIMIT") {
-      opts.tuning.inline_put_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_LOOPBACK_GDR_WRITE_LIMIT") {
-      opts.tuning.loopback_gdr_write_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_LOOPBACK_GDR_READ_LIMIT") {
-      opts.tuning.loopback_gdr_read_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_DIRECT_GDR_WRITE_LIMIT") {
-      opts.tuning.direct_gdr_write_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_DIRECT_GDR_READ_LIMIT") {
-      opts.tuning.direct_gdr_read_limit = env_size(key, value);
-    } else if (key == "GDRSHMEM_INTER_SOCKET_GDR_DIVISOR") {
-      long long v = env_int(key, value);
-      if (v < 1) bad(key, "divisor must be >= 1");
-      opts.tuning.inter_socket_gdr_divisor = static_cast<std::size_t>(v);
-    } else if (key == "GDRSHMEM_MAX_SW_REPLAYS") {
-      long long v = env_int(key, value);
-      if (v < 1) bad(key, "must be >= 1");
-      opts.tuning.max_sw_replays = static_cast<int>(v);
-    } else if (key == "GDRSHMEM_REPLAY_BACKOFF_US") {
-      opts.tuning.replay_backoff_base_us = env_double(key, value);
-      if (opts.tuning.replay_backoff_base_us <= 0) bad(key, "must be > 0");
-    } else if (key == "GDRSHMEM_PROXY_TIMEOUT_US") {
-      opts.tuning.proxy_timeout_us = env_double(key, value);
-      if (opts.tuning.proxy_timeout_us <= 0) bad(key, "must be > 0");
-    } else if (key == "GDRSHMEM_PROXY_MAX_REISSUES") {
-      long long v = env_int(key, value);
-      if (v < 1) bad(key, "must be >= 1");
-      opts.tuning.proxy_max_reissues = static_cast<int>(v);
-    } else if (key == "GDRSHMEM_COLL_CHUNK") {
-      opts.tuning.coll_chunk = env_size(key, value);
-      if (opts.tuning.coll_chunk < (1u << 12)) bad(key, "chunk must be >= 4K");
-    } else if (key == "GDRSHMEM_COLL_ALGO") {
-      // Either a single algorithm name (applied to every collective kind
-      // that implements it; the rest stay on auto selection) or a comma
-      // list of kind=algo pairs: "bcast=ring,allreduce=recdbl".
-      auto parse_algo = [&](const std::string& name) {
-        try {
-          return coll::algo_from_string(name);
-        } catch (const std::invalid_argument& e) {
-          bad(key, e.what());
-        }
-      };
-      if (value.find('=') == std::string::npos) {
-        CollAlgo algo = parse_algo(value);
-        bool any = false;
-        for (std::size_t k = 0; k < static_cast<std::size_t>(CollKind::kCount_);
-             ++k) {
-          if (coll::algo_supported(static_cast<CollKind>(k), algo)) {
-            opts.tuning.coll_force[k] = algo;
-            any = true;
-          }
-        }
-        if (!any && algo != CollAlgo::kAuto) {
-          bad(key, "\"" + value + "\" applies to no collective kind");
-        }
-      } else {
-        std::string rest = value;
-        while (!rest.empty()) {
-          auto comma = rest.find(',');
-          std::string pair = rest.substr(0, comma);
-          rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-          auto eq2 = pair.find('=');
-          if (eq2 == std::string::npos || eq2 == 0 || eq2 + 1 == pair.size()) {
-            bad(key, "expected kind=algo pairs, got \"" + pair + "\"");
-          }
-          std::string kind_name = pair.substr(0, eq2);
-          CollAlgo algo = parse_algo(pair.substr(eq2 + 1));
-          int kind = -1;
-          for (std::size_t k = 0;
-               k < static_cast<std::size_t>(CollKind::kCount_); ++k) {
-            if (kind_name == to_string(static_cast<CollKind>(k))) {
-              kind = static_cast<int>(k);
-            }
-          }
-          if (kind < 0) {
-            bad(key, "unknown collective kind \"" + kind_name +
-                         "\" (known: barrier, bcast, allreduce, fcollect, "
-                         "alltoall)");
-          }
-          if (!coll::algo_supported(static_cast<CollKind>(kind), algo)) {
-            bad(key, std::string(to_string(algo)) + " is not a " + kind_name +
-                         " algorithm");
-          }
-          opts.tuning.coll_force[static_cast<std::size_t>(kind)] = algo;
-        }
-      }
-    } else if (key == "GDRSHMEM_IB_TRANSPORT") {
-      if (value == "rc") {
-        opts.ib_transport = ib::QpKind::kRc;
-      } else if (value == "ud") {
-        opts.ib_transport = ib::QpKind::kUd;
-      } else if (value == "dc") {
-        opts.ib_transport = ib::QpKind::kDc;
-      } else if (value == "srd") {
-        opts.ib_transport = ib::QpKind::kSrd;
-      } else {
-        bad(key, "expected rc | ud | dc | srd, got \"" + value + "\"");
-      }
-    } else if (key == "GDRSHMEM_IB_RAILS") {
-      long long v = env_int(key, value);
-      if (v != 1 && v != 2) bad(key, "expected 1 or 2 (HCA rails per node)");
-      opts.ib_rails = static_cast<int>(v);
-    } else if (key == "GDRSHMEM_IB_SRQ") {
-      opts.ib_srq = env_bool(key, value);
-    } else if (key == "GDRSHMEM_IB_SRD_SEED") {
-      long long v = env_int(key, value);
-      if (v < 0) bad(key, "seed must be >= 0");
-      opts.ib_srd_seed = static_cast<std::uint64_t>(v);
-    } else if (key == "GDRSHMEM_IB_SRD_JITTER_US") {
-      opts.ib_srd_jitter_us = env_double(key, value);
-      if (opts.ib_srd_jitter_us < 0.0) {
-        bad(key, "jitter window must be >= 0 (us; 0 disables jitter)");
-      }
-    } else if (key == "GDRSHMEM_DEVICE_BACKEND") {
-      if (value == "gpu-ib") {
-        opts.device_backend = DeviceBackendKind::kGpuIb;
-      } else if (value == "reverse") {
-        opts.device_backend = DeviceBackendKind::kReverseOffload;
-      } else {
-        bad(key, "expected 'gpu-ib' or 'reverse', got \"" + value + "\"");
-      }
-    } else if (key == "GDRSHMEM_DEVICE_QUEUE_DEPTH") {
-      long long v = env_int(key, value);
-      if (v < 1) bad(key, "must be >= 1 (outstanding device commands)");
-      opts.device_queue_depth = static_cast<std::size_t>(v);
-    } else if (key == "GDRSHMEM_FAULTS") {
-      try {
-        opts.faults = sim::FaultPlan::parse(value);
-      } catch (const std::invalid_argument& e) {
-        bad(key, e.what());
-      }
-    } else if (key == "GDRSHMEM_TRACE") {
-      opts.trace = env_bool(key, value);
-    } else if (key == "GDRSHMEM_TRACE_CAP") {
-      // Already consumed by the defaulted trace_cap member; re-parse here so
-      // the error carries the uniform ShmemError shape.
-      try {
-        opts.trace_cap = trace_cap_from_env();
-      } catch (const std::invalid_argument& e) {
-        throw ShmemError(e.what());
-      }
-    } else {
-      bad(key,
-          "unknown GDRSHMEM_* variable (known: SIM_BACKEND, SIM_STACK_KB, "
-          "TRANSPORT, HOST_HEAP, GPU_HEAP, PMEM_HEAP, SERVICE_THREAD, "
-          "SERVICE_THREAD_PENALTY, USE_PROXY, EAGER_LIMIT, PIPELINE_CHUNK, "
-          "INLINE_PUT_LIMIT, LOOPBACK_GDR_WRITE_LIMIT, "
-          "LOOPBACK_GDR_READ_LIMIT, DIRECT_GDR_WRITE_LIMIT, "
-          "DIRECT_GDR_READ_LIMIT, INTER_SOCKET_GDR_DIVISOR, COLL_ALGO, "
-          "COLL_CHUNK, MAX_SW_REPLAYS, REPLAY_BACKOFF_US, PROXY_TIMEOUT_US, "
-          "PROXY_MAX_REISSUES, DEVICE_BACKEND, DEVICE_QUEUE_DEPTH, "
-          "IB_TRANSPORT, IB_RAILS, IB_SRQ, IB_SRD_SEED, IB_SRD_JITTER_US, "
-          "FAULTS, TRACE, TRACE_CAP)");
+RuntimeOptions RuntimeOptions::from_env() {
+  constexpr std::string_view kPrefix = "GDRSHMEM_";
+  RuntimeOptions opts;
+  for (char** env = environ; *env != nullptr; ++env) {
+    const std::string_view entry(*env);
+    const auto eq = entry.find('=');
+    if (!entry.starts_with(kPrefix) || eq == std::string_view::npos) {
+      continue;
     }
+    const auto key = entry.substr(0, eq);
+    const Row* row = std::find_if(std::begin(kRows), std::end(kRows),
+                                  [&](const Row& r) { return r.key == key; });
+    if (row == std::end(kRows)) {
+      std::string known;
+      for (std::string_view k : env_keys()) {
+        known += (known.empty() ? "" : ", ") +
+                 std::string(k.substr(kPrefix.size()));
+      }
+      bad(key, "unknown GDRSHMEM_* variable (known: " + known + ")");
+    }
+    apply(*row, opts, std::string(entry.substr(eq + 1)));
   }
   return opts;
+}
+
+std::vector<std::string_view> RuntimeOptions::env_keys() {
+  std::vector<std::string_view> keys;
+  for (const Row& row : kRows) keys.emplace_back(row.key);
+  return keys;
 }
 
 }  // namespace gdrshmem::core

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/heap.hpp"
@@ -42,9 +43,9 @@ struct RuntimeOptions {
   TransportKind transport = TransportKind::kEnhancedGdr;
   Tuning tuning;
   /// Execution backend for the simulation engine (fibers by default;
-  /// overridable per-process via GDRSHMEM_SIM_BACKEND). Both backends are
-  /// bit-identical in virtual time; threads is the slow fallback.
-  sim::BackendKind sim_backend = sim::backend_from_env();
+  /// GDRSHMEM_SIM_BACKEND). Both backends are bit-identical in virtual
+  /// time; threads is the slow fallback.
+  sim::BackendKind sim_backend = sim::BackendKind::kFibers;
   /// Pending-event queue for the engine. Both kinds pop the same strict
   /// (time, seq) order, so they are bit-identical; the binary heap is the
   /// differential-test reference for the default timing wheel.
@@ -66,13 +67,13 @@ struct RuntimeOptions {
   /// Operation tracer: enabled via GDRSHMEM_TRACE, ring capacity (events)
   /// via GDRSHMEM_TRACE_CAP. Tracing is bookkeeping-only, so enabling it
   /// never changes virtual time or event order.
-  bool trace = trace_from_env();
-  std::size_t trace_cap = trace_cap_from_env();
+  bool trace = false;
+  std::size_t trace_cap = Tracer::kDefaultCapacity;
   /// Engine behind device-initiated (in-kernel) operations
   /// (GDRSHMEM_DEVICE_BACKEND=gpu-ib|reverse; gpu-ib by default). Both are
   /// bit-identical in application results per seed; they differ only in
   /// modeled cost, so CI A/Bs the whole suite under each value.
-  DeviceBackendKind device_backend = device_backend_from_env();
+  DeviceBackendKind device_backend = DeviceBackendKind::kGpuIb;
   /// Outstanding command descriptors the reverse-offload ring holds per PE
   /// before the kernel blocks on a free slot (GDRSHMEM_DEVICE_QUEUE_DEPTH).
   std::size_t device_queue_depth = 64;
@@ -80,10 +81,10 @@ struct RuntimeOptions {
   /// (GDRSHMEM_IB_TRANSPORT=rc|ud|dc|srd; rc by default). All four land
   /// identical application bytes per seed; they differ in modeled cost and
   /// per-QP memory, so CI A/Bs suites across values.
-  ib::QpKind ib_transport = ib::qp_kind_from_env();
+  ib::QpKind ib_transport = ib::QpKind::kRc;
   /// HCA rails large messages stripe across (GDRSHMEM_IB_RAILS=1|2; 1 by
   /// default — the bit-identical legacy schedule).
-  int ib_rails = ib::rails_from_env();
+  int ib_rails = 1;
   /// Model an RC shared receive queue instead of per-QP recv rings
   /// (GDRSHMEM_IB_SRQ; footprint-only — never changes timing). UD, DC and
   /// SRD always use the SRQ.
@@ -97,11 +98,21 @@ struct RuntimeOptions {
   /// hw::SystemParams::srd_jitter_window_us.
   double ib_srd_jitter_us = -1.0;
 
+  /// The defaults above, plus the process-default keys found in the
+  /// environment: GDRSHMEM_SIM_BACKEND, TRACE, TRACE_CAP, DEVICE_BACKEND,
+  /// IB_TRANSPORT and IB_RAILS. Options built in code thus honor the keys
+  /// CI flips to A/B whole suites. A bad value throws ShmemError.
+  RuntimeOptions();
+
   /// Build options from the environment: parses and validates every
   /// GDRSHMEM_* variable (backend, heap sizes, transport, tuning
-  /// thresholds, fault plan) in one place. Unknown GDRSHMEM_* keys and
-  /// out-of-range values throw ShmemError naming the variable.
+  /// thresholds, fault plan) through one table (options.cpp). Unknown
+  /// GDRSHMEM_* keys, empty values and out-of-range values throw
+  /// ShmemError naming the variable.
   static RuntimeOptions from_env();
+
+  /// Every key from_env accepts, in table order.
+  static std::vector<std::string_view> env_keys();
 };
 
 /// Operation accounting, mostly consumed by tests and the benchmark tables.
@@ -146,8 +157,9 @@ class Runtime {
   /// The low-level verbs engine (registration cache, op diagnostics).
   /// Protocol code posts operations through ib() / endpoint(), not here.
   ib::Verbs& verbs() { return verbs_; }
-  /// The selected queue-pair transport (rc | ud | dc) behind the endpoint
-  /// API; every RDMA/send/atomic the runtime issues routes through it.
+  /// The selected queue-pair transport (rc | ud | dc | srd) behind the
+  /// endpoint API; every RDMA/send/atomic the runtime issues routes through
+  /// it.
   ib::Transport& ib() { return *ib_; }
   /// Per-endpoint handle binding the source id (PEs and service endpoints).
   ib::Endpoint& endpoint(int id) { return ib_->endpoint(id); }

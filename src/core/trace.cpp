@@ -1,9 +1,7 @@
 #include "core/trace.hpp"
 
-#include <cstdlib>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
 #include "core/json.hpp"
 
@@ -90,29 +88,6 @@ std::string Tracer::to_chrome_json() const {
   w.end_object();
   w.end_object();
   return w.str() + "\n";
-}
-
-bool trace_from_env() {
-  const char* v = std::getenv("GDRSHMEM_TRACE");
-  if (v == nullptr) return false;
-  std::string s(v);
-  if (s == "1" || s == "true" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "off" || s.empty()) return false;
-  throw std::invalid_argument(
-      "GDRSHMEM_TRACE: expected 0/1 (or true/false, on/off), got \"" + s + "\"");
-}
-
-std::size_t trace_cap_from_env() {
-  const char* v = std::getenv("GDRSHMEM_TRACE_CAP");
-  if (v == nullptr) return Tracer::kDefaultCapacity;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) {
-    throw std::invalid_argument(
-        "GDRSHMEM_TRACE_CAP: expected a positive event count, got \"" +
-        std::string(v) + "\"");
-  }
-  return static_cast<std::size_t>(n);
 }
 
 }  // namespace gdrshmem::core

@@ -140,11 +140,4 @@ class Tracer {
   std::vector<TraceEvent> ring_;
 };
 
-/// GDRSHMEM_TRACE / GDRSHMEM_TRACE_CAP, consumed by the RuntimeOptions
-/// defaults (so benches constructing options programmatically still honor
-/// the environment). Throw std::invalid_argument on garbage;
-/// RuntimeOptions::from_env re-surfaces that as a ShmemError.
-bool trace_from_env();
-std::size_t trace_cap_from_env();
-
 }  // namespace gdrshmem::core

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -66,20 +65,6 @@ inline const char* to_string(DeviceBackendKind k) {
     case DeviceBackendKind::kReverseOffload: return "reverse";
   }
   return "?";
-}
-
-/// GDRSHMEM_DEVICE_BACKEND (gpu-ib | reverse; gpu-ib when unset). Consulted
-/// by RuntimeOptions' defaulted member, mirroring sim::backend_from_env, so
-/// every runtime honors the variable unless code pins a backend explicitly.
-inline DeviceBackendKind device_backend_from_env() {
-  const char* v = std::getenv("GDRSHMEM_DEVICE_BACKEND");
-  if (v == nullptr || *v == '\0') return DeviceBackendKind::kGpuIb;
-  std::string s(v);
-  if (s == "gpu-ib") return DeviceBackendKind::kGpuIb;
-  if (s == "reverse") return DeviceBackendKind::kReverseOffload;
-  throw std::invalid_argument(
-      "GDRSHMEM_DEVICE_BACKEND: expected 'gpu-ib' or 'reverse', got \"" + s +
-      "\"");
 }
 
 /// Granularity at which device threads cooperate on one operation. Wider

@@ -1,8 +1,6 @@
 #include "ib/transport.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "sim/rng.hpp"
@@ -11,29 +9,6 @@ namespace gdrshmem::ib {
 
 using sim::CompletionPtr;
 using sim::Duration;
-
-QpKind qp_kind_from_env() {
-  const char* v = std::getenv("GDRSHMEM_IB_TRANSPORT");
-  if (v == nullptr || *v == '\0') return QpKind::kRc;
-  std::string s(v);
-  if (s == "rc") return QpKind::kRc;
-  if (s == "ud") return QpKind::kUd;
-  if (s == "dc") return QpKind::kDc;
-  if (s == "srd") return QpKind::kSrd;
-  throw std::invalid_argument(
-      "GDRSHMEM_IB_TRANSPORT: expected 'rc', 'ud', 'dc' or 'srd', got \"" + s +
-      "\"");
-}
-
-int rails_from_env() {
-  const char* v = std::getenv("GDRSHMEM_IB_RAILS");
-  if (v == nullptr || *v == '\0') return 1;
-  std::string s(v);
-  if (s == "1") return 1;
-  if (s == "2") return 2;
-  throw std::invalid_argument("GDRSHMEM_IB_RAILS: expected '1' or '2', got \"" +
-                              s + "\"");
-}
 
 // ---------------------------------------------------------------------------
 // Transport base: endpoint registry + 2-rail striping shared by RC and DC.

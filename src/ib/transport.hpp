@@ -38,14 +38,6 @@ inline const char* to_string(QpKind k) {
   return "?";
 }
 
-/// GDRSHMEM_IB_TRANSPORT (rc | ud | dc | srd; rc when unset). Consulted by
-/// RuntimeOptions' defaulted member, mirroring device_backend_from_env, so
-/// every runtime honors the variable unless code pins a transport.
-QpKind qp_kind_from_env();
-
-/// GDRSHMEM_IB_RAILS (1 | 2; 1 when unset).
-int rails_from_env();
-
 struct TransportConfig {
   QpKind kind = QpKind::kRc;
   /// HCAs a large message stripes across (>= SystemParams::

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 
 namespace gdrshmem::sim {
@@ -13,12 +15,14 @@ namespace gdrshmem::sim {
 
 BackendKind backend_from_env() {
   const char* v = std::getenv("GDRSHMEM_SIM_BACKEND");
-  if (v == nullptr || *v == '\0') return BackendKind::kFibers;
-  std::string s(v);
-  if (s == "fibers") return BackendKind::kFibers;
-  if (s == "threads") return BackendKind::kThreads;
-  throw std::invalid_argument(
-      "GDRSHMEM_SIM_BACKEND must be 'fibers' or 'threads', got '" + s + "'");
+  if (v == nullptr) return BackendKind::kFibers;
+  std::string known;
+  for (BackendKind k : {BackendKind::kFibers, BackendKind::kThreads}) {
+    if (std::string_view(v) == to_string(k)) return k;
+    known += (known.empty() ? "" : " | ") + std::string(to_string(k));
+  }
+  throw std::invalid_argument("GDRSHMEM_SIM_BACKEND: expected " + known +
+                              ", got \"" + v + "\"");
 }
 
 const char* to_string(BackendKind k) {

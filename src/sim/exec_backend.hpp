@@ -15,6 +15,7 @@
 // is bit-identical across backends.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 
@@ -26,8 +27,14 @@ class Process;
 enum class BackendKind { kThreads, kFibers };
 
 /// Backend chosen by GDRSHMEM_SIM_BACKEND ("threads" | "fibers");
-/// fibers when unset. Unknown values throw std::invalid_argument.
+/// fibers when unset. Unknown and empty values throw std::invalid_argument.
 BackendKind backend_from_env();
+
+/// Usable bytes per fiber stack (guard page excluded) from
+/// GDRSHMEM_SIM_STACK_KB, in KiB and >= 64; 1 MiB when unset. Stacks are
+/// lazily committed by the kernel, so the default costs address space
+/// only. Bad and empty values throw std::invalid_argument.
+std::size_t fiber_stack_bytes_from_env();
 
 const char* to_string(BackendKind k);
 

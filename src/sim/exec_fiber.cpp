@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <system_error>
@@ -70,25 +71,25 @@ void gdrshmem_fiber_boot();
 
 namespace gdrshmem::sim {
 
+std::size_t fiber_stack_bytes_from_env() {
+  const char* v = std::getenv("GDRSHMEM_SIM_STACK_KB");
+  if (v == nullptr) return std::size_t{1} << 20;  // 1 MiB
+  char* end = nullptr;
+  const long kb = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || kb < 64 ||
+      kb > std::numeric_limits<long>::max() / 1024) {
+    throw std::invalid_argument(
+        "GDRSHMEM_SIM_STACK_KB: expected an integer stack size in KiB >= 64, "
+        "got \"" + std::string(v) + "\"");
+  }
+  return static_cast<std::size_t>(kb) * 1024;
+}
+
 namespace {
 
-/// Usable fiber stack bytes (excluding the guard page); override with
-/// GDRSHMEM_SIM_STACK_KB. Stacks are lazily committed by the kernel, so a
-/// generous default costs virtual address space only.
+/// Read once per process: every fiber of every engine gets the same size.
 std::size_t fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    constexpr std::size_t kDefault = 1u << 20;  // 1 MiB
-    const char* v = std::getenv("GDRSHMEM_SIM_STACK_KB");
-    if (v == nullptr || *v == '\0') return kDefault;
-    char* end = nullptr;
-    const long kb = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || kb < 64) {
-      throw std::invalid_argument(
-          "GDRSHMEM_SIM_STACK_KB must be an integer stack size in KiB >= 64, "
-          "got '" + std::string(v) + "'");
-    }
-    return static_cast<std::size_t>(kb) * 1024;
-  }();
+  static const std::size_t bytes = fiber_stack_bytes_from_env();
   return bytes;
 }
 

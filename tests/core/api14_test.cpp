@@ -8,10 +8,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,7 @@ using core::TransportKind;
 using core::testing::make_cluster;
 using core::testing::make_options;
 using core::testing::run_spmd;
+using core::testing::ScopedEnv;
 
 // ---- 1.4 names vs classic aliases -----------------------------------------
 
@@ -170,18 +173,6 @@ TEST(Api14, CallocZeroesBothDomains) {
 
 // ---- RuntimeOptions::from_env ---------------------------------------------
 
-/// Sets an environment variable for the current scope, restoring on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_.c_str()); }
-
- private:
-  std::string name_;
-};
-
 TEST(FromEnv, NoVariablesGivesDefaults) {
   RuntimeOptions opts = RuntimeOptions::from_env();
   RuntimeOptions def;
@@ -189,6 +180,83 @@ TEST(FromEnv, NoVariablesGivesDefaults) {
   EXPECT_EQ(opts.host_heap_bytes, def.host_heap_bytes);
   EXPECT_EQ(opts.tuning.use_proxy, def.tuning.use_proxy);
   EXPECT_FALSE(opts.faults.enabled());
+  // The process-default keys reach both paths alike, so this holds under
+  // every value check_tier1.sh's A/B passes flip.
+  EXPECT_EQ(opts.sim_backend, def.sim_backend);
+  EXPECT_EQ(opts.trace, def.trace);
+  EXPECT_EQ(opts.trace_cap, def.trace_cap);
+  EXPECT_EQ(opts.device_backend, def.device_backend);
+  EXPECT_EQ(opts.ib_transport, def.ib_transport);
+  EXPECT_EQ(opts.ib_rails, def.ib_rails);
+}
+
+// The six keys CI flips for whole suites reach options built in code; the
+// rest are from_env's alone.
+TEST(FromEnv, ProcessDefaultKeysReachDefaultConstructedOptions) {
+  ScopedEnv e1("GDRSHMEM_SIM_BACKEND", "threads");
+  ScopedEnv e2("GDRSHMEM_TRACE", "on");
+  ScopedEnv e3("GDRSHMEM_TRACE_CAP", "4096");
+  ScopedEnv e4("GDRSHMEM_DEVICE_BACKEND", "reverse");
+  ScopedEnv e5("GDRSHMEM_IB_TRANSPORT", "dc");
+  ScopedEnv e6("GDRSHMEM_IB_RAILS", "2");
+  ScopedEnv e7("GDRSHMEM_EAGER_LIMIT", "1K");
+  RuntimeOptions programmatic;
+  EXPECT_EQ(programmatic.sim_backend, sim::BackendKind::kThreads);
+  EXPECT_TRUE(programmatic.trace);
+  EXPECT_EQ(programmatic.trace_cap, 4096u);
+  EXPECT_EQ(programmatic.device_backend,
+            core::DeviceBackendKind::kReverseOffload);
+  EXPECT_EQ(programmatic.ib_transport, ib::QpKind::kDc);
+  EXPECT_EQ(programmatic.ib_rails, 2);
+  EXPECT_EQ(programmatic.tuning.eager_limit, core::Tuning{}.eager_limit);
+  EXPECT_EQ(RuntimeOptions::from_env().tuning.eager_limit, 1u << 10);
+  // A bad process-default value is refused here too, not only by from_env.
+  ScopedEnv e8("GDRSHMEM_TRACE_CAP", "-1");
+  EXPECT_THROW(RuntimeOptions{}, ShmemError);
+}
+
+// GDRSHMEM_IB_TRANSPORT and GDRSHMEM_IB_RAILS are process-default rows:
+// both from_env() and RuntimeOptions{} must read them the same way.
+TEST(TransportEnv, KindParsesAndDefaults) {
+  {
+    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", nullptr);
+    EXPECT_EQ(RuntimeOptions::from_env().ib_transport, ib::QpKind::kRc);
+    EXPECT_EQ(RuntimeOptions{}.ib_transport, ib::QpKind::kRc);
+  }
+  const std::pair<const char*, ib::QpKind> kinds[] = {
+      {"rc", ib::QpKind::kRc},
+      {"ud", ib::QpKind::kUd},
+      {"dc", ib::QpKind::kDc},
+      {"srd", ib::QpKind::kSrd},
+  };
+  for (const auto& [name, kind] : kinds) {
+    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", name);
+    EXPECT_EQ(RuntimeOptions::from_env().ib_transport, kind) << name;
+    EXPECT_EQ(RuntimeOptions{}.ib_transport, kind) << name;
+  }
+  {
+    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", "xrc");
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+    EXPECT_THROW(RuntimeOptions{}, ShmemError);
+  }
+}
+
+TEST(TransportEnv, RailsParseAndDefault) {
+  {
+    ScopedEnv e("GDRSHMEM_IB_RAILS", nullptr);
+    EXPECT_EQ(RuntimeOptions::from_env().ib_rails, 1);
+    EXPECT_EQ(RuntimeOptions{}.ib_rails, 1);
+  }
+  for (int rails : {1, 2}) {
+    ScopedEnv e("GDRSHMEM_IB_RAILS", std::to_string(rails).c_str());
+    EXPECT_EQ(RuntimeOptions::from_env().ib_rails, rails);
+    EXPECT_EQ(RuntimeOptions{}.ib_rails, rails);
+  }
+  {
+    ScopedEnv e("GDRSHMEM_IB_RAILS", "3");
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+    EXPECT_THROW(RuntimeOptions{}, ShmemError);
+  }
 }
 
 TEST(FromEnv, ParsesAndValidatesKnownKeys) {
@@ -214,32 +282,53 @@ TEST(FromEnv, ParsesAndValidatesKnownKeys) {
 }
 
 // README's env table lists exactly the keys from_env accepts: every accepted
-// key has a line, and every line names an accepted key.
+// key has a line, every line names an accepted key, and every line's example
+// value is accepted.
 TEST(FromEnv, ReadmeDocumentsEveryAcceptedKey) {
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    EXPECT_TRUE(in) << "cannot read " << path;
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  const std::string source = slurp(GDRSHMEM_SOURCE_DIR "/src/core/options.cpp");
-  const std::string readme = slurp(GDRSHMEM_SOURCE_DIR "/README.md");
-  const std::regex accepted(R"re(key == "(GDRSHMEM_[A-Z0-9_]+)")re");
-  std::set<std::string> keys;
-  for (std::sregex_iterator it(source.begin(), source.end(), accepted), end;
-       it != end; ++it) {
-    keys.insert((*it)[1].str());
-    EXPECT_NE(readme.find("\n" + (*it)[1].str() + "="), std::string::npos)
-        << (*it)[1] << " is accepted by from_env but missing from README";
+  std::ifstream in(GDRSHMEM_SOURCE_DIR "/README.md");
+  ASSERT_TRUE(in) << "cannot read README.md";
+  const std::string readme(std::istreambuf_iterator<char>(in), {});
+  const std::vector<std::string_view> accepted = RuntimeOptions::env_keys();
+  const std::set<std::string, std::less<>> keys(accepted.begin(),
+                                                accepted.end());
+  EXPECT_EQ(keys.size(), accepted.size()) << "a key has two rows";
+  for (std::string_view key : accepted) {
+    EXPECT_NE(readme.find("\n" + std::string(key) + "="), std::string::npos)
+        << key << " is accepted by from_env but missing from README";
   }
-  EXPECT_GE(keys.size(), 30u) << "options.cpp no longer matches the key pattern";
-  const std::regex documented(R"re(\n(GDRSHMEM_[A-Z0-9_]+)=)re");
+  const std::regex documented(R"re(\n(GDRSHMEM_[A-Z0-9_]+)=('[^']*'|\S+))re");
   int rows = 0;
   for (std::sregex_iterator it(readme.begin(), readme.end(), documented), end;
        it != end; ++it, ++rows) {
-    EXPECT_TRUE(keys.count((*it)[1].str()))
-        << (*it)[1] << " is in README's env table but from_env rejects it";
+    const std::string key = (*it)[1].str();
+    std::string value = (*it)[2].str();
+    if (value.front() == '\'') value = value.substr(1, value.size() - 2);
+    if (!keys.count(key)) {
+      ADD_FAILURE() << key
+                    << " is in README's env table but from_env rejects it";
+      continue;
+    }
+    ScopedEnv e(key.c_str(), value.c_str());
+    EXPECT_NO_THROW(RuntimeOptions::from_env()) << key << "=" << value;
   }
-  EXPECT_GE(rows, 30) << "README no longer matches the env-table pattern";
+  EXPECT_EQ(rows, static_cast<int>(keys.size()))
+      << "README no longer matches the env-table pattern";
+}
+
+// One rule for every key: `KEY=` is refused, naming the key, rather than
+// read as unset.
+TEST(FromEnv, EmptyValueIsAnErrorForEveryKey) {
+  for (std::string_view key : RuntimeOptions::env_keys()) {
+    const std::string name(key);
+    ScopedEnv e(name.c_str(), "");
+    try {
+      RuntimeOptions::from_env();
+      ADD_FAILURE() << name << "= was accepted";
+    } catch (const ShmemError& err) {
+      EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST(FromEnv, UnknownVariableIsAnError) {
@@ -248,51 +337,34 @@ TEST(FromEnv, UnknownVariableIsAnError) {
 }
 
 TEST(FromEnv, BadValuesAreErrors) {
-  {
-    ScopedEnv e("GDRSHMEM_TRANSPORT", "warp-drive");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_PIPELINE_CHUNK", "0");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_HOST_HEAP", "12Q");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_USE_PROXY", "maybe");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_SIM_BACKEND", "coroutines");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    // Units are KiB per fiber; below the 64 KiB floor is an error, as is
-    // trailing garbage.
-    ScopedEnv e("GDRSHMEM_SIM_STACK_KB", "32");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_SIM_STACK_KB", "256bogus");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_FAULTS", "wire_error_rate=2");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_TRACE", "maybe");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_TRACE_CAP", "0");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_TRACE_CAP", "lots");
-    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  const std::pair<const char*, const char*> rows[] = {
+      {"GDRSHMEM_TRANSPORT", "warp-drive"},
+      {"GDRSHMEM_PIPELINE_CHUNK", "0"},
+      {"GDRSHMEM_HOST_HEAP", "12Q"},
+      {"GDRSHMEM_USE_PROXY", "maybe"},
+      {"GDRSHMEM_SIM_BACKEND", "coroutines"},
+      // Units are KiB per fiber; below the 64 KiB floor is an error, as is
+      // trailing garbage.
+      {"GDRSHMEM_SIM_STACK_KB", "32"},
+      {"GDRSHMEM_SIM_STACK_KB", "256bogus"},
+      {"GDRSHMEM_FAULTS", "wire_error_rate=2"},
+      {"GDRSHMEM_TRACE", "maybe"},
+      {"GDRSHMEM_TRACE_CAP", "0"},
+      {"GDRSHMEM_TRACE_CAP", "lots"},
+      // A signed count must not wrap to a 2^64-1 ring that never drops.
+      {"GDRSHMEM_TRACE_CAP", "-1"},
+      {"GDRSHMEM_IB_TRANSPORT", "xrc"},
+      {"GDRSHMEM_IB_RAILS", "3"},
+  };
+  for (const auto& [key, value] : rows) {
+    ScopedEnv e(key, value);
+    try {
+      RuntimeOptions::from_env();
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const ShmemError& err) {
+      EXPECT_NE(std::string(err.what()).find(key), std::string::npos)
+          << err.what();
+    }
   }
 }
 
@@ -344,8 +416,8 @@ TEST(FromEnv, TraceKnobsFlowIntoOptions) {
   RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_TRUE(opts.trace);
   EXPECT_EQ(opts.trace_cap, 4096u);
-  // The defaulted members consult the environment too, so programmatically
-  // constructed options (the bench path) honor the same knobs.
+  // The default constructor applies the process-default keys too, so code-
+  // built options (the bench path) honor the same knobs.
   RuntimeOptions programmatic;
   EXPECT_TRUE(programmatic.trace);
   EXPECT_EQ(programmatic.trace_cap, 4096u);

@@ -25,6 +25,7 @@ using core::TransportKind;
 using core::testing::make_cluster;
 using core::testing::make_options;
 using core::testing::run_spmd;
+using core::testing::ScopedEnv;
 
 constexpr DeviceBackendKind kBackends[] = {DeviceBackendKind::kGpuIb,
                                            DeviceBackendKind::kReverseOffload};
@@ -41,12 +42,6 @@ RuntimeOptions device_options(DeviceBackendKind kind,
 unsigned char pattern(int pe, std::size_t i) {
   return static_cast<unsigned char>((pe * 131 + i * 7) & 0xff);
 }
-
-struct ScopedEnv {
-  ScopedEnv(const char* k, const char* v) : key(k) { setenv(k, v, 1); }
-  ~ScopedEnv() { unsetenv(key); }
-  const char* key;
-};
 
 // ---------------------------------------------------------------------------
 // In-kernel RMA.

@@ -20,6 +20,7 @@ namespace {
 using testing::make_cluster;
 using testing::make_options;
 using testing::run_spmd;
+using testing::ScopedEnv;
 
 constexpr ib::QpKind kKinds[] = {ib::QpKind::kRc, ib::QpKind::kUd,
                                  ib::QpKind::kDc, ib::QpKind::kSrd};
@@ -175,17 +176,6 @@ TEST(TransportDiff, RunsAreDeterministicPerTransport) {
 
 // ---------------------------------------------------------------------------
 // Env validation for the new keys.
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_.c_str()); }
-
- private:
-  std::string name_;
-};
 
 TEST(TransportFromEnv, ParsesTransportRailsAndSrq) {
   ScopedEnv e1("GDRSHMEM_IB_TRANSPORT", "dc");

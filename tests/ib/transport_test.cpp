@@ -55,49 +55,6 @@ struct Fixture {
   }
 };
 
-struct ScopedEnv {
-  ScopedEnv(const char* k, const char* v) : key(k) { setenv(k, v, 1); }
-  ~ScopedEnv() { unsetenv(key); }
-  const char* key;
-};
-
-// ---------------------------------------------------------------------------
-// Environment parsing.
-
-TEST(TransportEnv, KindParsesAndDefaults) {
-  unsetenv("GDRSHMEM_IB_TRANSPORT");
-  EXPECT_EQ(qp_kind_from_env(), QpKind::kRc);
-  {
-    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", "ud");
-    EXPECT_EQ(qp_kind_from_env(), QpKind::kUd);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", "dc");
-    EXPECT_EQ(qp_kind_from_env(), QpKind::kDc);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", "srd");
-    EXPECT_EQ(qp_kind_from_env(), QpKind::kSrd);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_IB_TRANSPORT", "xrc");
-    EXPECT_THROW(qp_kind_from_env(), std::invalid_argument);
-  }
-}
-
-TEST(TransportEnv, RailsParseAndDefault) {
-  unsetenv("GDRSHMEM_IB_RAILS");
-  EXPECT_EQ(rails_from_env(), 1);
-  {
-    ScopedEnv e("GDRSHMEM_IB_RAILS", "2");
-    EXPECT_EQ(rails_from_env(), 2);
-  }
-  {
-    ScopedEnv e("GDRSHMEM_IB_RAILS", "3");
-    EXPECT_THROW(rails_from_env(), std::invalid_argument);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // RC: the default must be a pure passthrough at sub-cache scale.
 

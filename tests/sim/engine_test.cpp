@@ -121,6 +121,8 @@ TEST(Engine, BackendEnvSelection) {
   EXPECT_EQ(backend_from_env(), BackendKind::kFibers);
   ::setenv("GDRSHMEM_SIM_BACKEND", "bogus", 1);
   EXPECT_THROW(backend_from_env(), std::invalid_argument);
+  ::setenv("GDRSHMEM_SIM_BACKEND", "", 1);  // empty is refused, not unset
+  EXPECT_THROW(backend_from_env(), std::invalid_argument);
   ::unsetenv("GDRSHMEM_SIM_BACKEND");
   EXPECT_EQ(backend_from_env(), BackendKind::kFibers);  // fibers is the default
   if (saved) ::setenv("GDRSHMEM_SIM_BACKEND", saved_val.c_str(), 1);
